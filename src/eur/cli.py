@@ -4,7 +4,7 @@
     eur constants [--json]
     eur sweep     --from A --to B --step S --out FILE [--bits]
     eur verify    --suite {grid,qubit,shape,random,critique,all}
-                  [--c-list C ...] [--tol T] [--grid N] [--seed S] [--json]
+                  [--c-list C ...] [--tol T] [--grid N] [--seed S]
     eur critique  --c C [--json]
 
 Exit codes: 0 success, 2 domain error, 3 solver non-convergence,
@@ -18,10 +18,11 @@ import argparse
 import csv
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import core, oracle, solve
 from .errors import ConvergenceError, DomainError, VerificationError
@@ -34,14 +35,8 @@ EXIT_VERIFY = 4
 LN2 = math.log(2.0)
 
 _ENTROPY_FIELDS = ("b_mu", "f", "g", "lattice", "m_inf", "h1", "b_vs")
+_entropy_values = operator.attrgetter(*_ENTROPY_FIELDS)
 
-_VERIFY_DEFAULT_C = {
-    "grid": [0.3, 0.5, 0.65, 0.75, 0.80, 0.90, 0.99],
-    "qubit": [0.71, 0.75, 0.80, 0.8336, 0.87, 0.95, 0.99],
-    "shape": [0.5, 0.8, 0.9],
-    "critique": [0.3, 0.5, 0.6],
-}
-_VERIFY_DEFAULT_TOL = {"grid": 2e-3, "qubit": 1e-6, "random": 1e-9, "critique": 1e-10}
 _RANDOM_DIMS = (2, 3, 4, 5)
 _RANDOM_SAMPLES = 10_000
 _DEFAULT_SEED = 1234
@@ -61,46 +56,30 @@ class SweepRow:
     region: str
 
 
-def _env_float(name: str) -> Optional[float]:
+def _setting(flag, name: str, kind: type, noun: str, default):
+    """The flag if given, else environment variable `name` parsed by `kind`,
+    else the default."""
+    if flag is not None:
+        return flag
     raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
+    if not raw:
+        return default
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise DomainError(f"environment variable {name} is not a number: {raw!r}")
-
-
-def _env_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"environment variable {name} is not an integer: {raw!r}")
+        raise DomainError(f"environment variable {name} is not {noun}: {raw!r}")
 
 
 def _resolve_tol(flag: Optional[float], default: float) -> float:
-    if flag is not None:
-        return flag
-    env = _env_float("EUR_TOL")
-    return env if env is not None else default
+    return _setting(flag, "EUR_TOL", float, "a number", default)
 
 
 def _resolve_grid(flag: Optional[int], default: int) -> int:
-    if flag is not None:
-        return flag
-    env = _env_int("EUR_GRID")
-    return env if env is not None else default
+    return _setting(flag, "EUR_GRID", int, "an integer", default)
 
 
 def _fmt(x: Optional[float]) -> str:
     return "" if x is None else f"{x + 0.0:.12g}"  # + 0.0 drops negative zero
-
-
-def compute_row(c: float) -> SweepRow:
-    return _row_and_witness(c)[0]
 
 
 def _row_and_witness(c: float) -> tuple[SweepRow, Optional[tuple[float, float]]]:
@@ -126,12 +105,15 @@ def _row_and_witness(c: float) -> tuple[SweepRow, Optional[tuple[float, float]]]
     return row, report.witness
 
 
-def _row_record(row: SweepRow, witness: Optional[tuple[float, float]], bits: bool) -> dict:
+def _entropies(row: SweepRow, bits: bool) -> list[Optional[float]]:
+    """The row's _ENTROPY_FIELDS values, in nats or converted to bits."""
     scale = 1.0 / LN2 if bits else 1.0
+    return [None if v is None else v * scale for v in _entropy_values(row)]
+
+
+def _row_record(row: SweepRow, witness: Optional[tuple[float, float]], bits: bool) -> dict:
     rec: dict = {"c": row.c, "theta": row.theta}
-    for name in _ENTROPY_FIELDS:
-        val = getattr(row, name)
-        rec[name] = None if val is None else val * scale
+    rec.update(zip(_ENTROPY_FIELDS, _entropies(row, bits)))
     rec["region"] = row.region
     rec["witness_p_a"] = witness[0] if witness else None
     rec["witness_p_b"] = witness[1] if witness else None
@@ -188,7 +170,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lo, hi, step = args.from_, args.to, args.step
     if not (0.0 < lo < hi <= 1.0) or step <= 0.0:
         raise DomainError(f"need 0 < from < to <= 1 and step > 0, got {lo}, {hi}, {step}")
-    scale = 1.0 / LN2 if args.bits else 1.0
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
     try:
         out = open(args.out, "w", newline="")
@@ -197,27 +178,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_DOMAIN
     with out:
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["c", "theta", "b_mu", "f", "g", "lattice", "m_inf", "h1", "b_vs", "region"])
+        writer.writerow(["c", "theta", *_ENTROPY_FIELDS, "region"])
         for k in range(count):
             c = lo + k * step
             if abs(c - hi) < step * 1e-6:
                 c = hi  # snap the final sample; k*step can overshoot by ulps
             elif c > hi:
                 break
-            row = compute_row(c)
+            row = _row_and_witness(c)[0]
             writer.writerow(
-                [
-                    _fmt(row.c),
-                    _fmt(row.theta),
-                    _fmt(row.b_mu * scale),
-                    _fmt(row.f * scale),
-                    _fmt(row.g * scale),
-                    _fmt(row.lattice * scale),
-                    _fmt(None if row.m_inf is None else row.m_inf * scale),
-                    _fmt(None if row.h1 is None else row.h1 * scale),
-                    _fmt(row.b_vs * scale),
-                    row.region,
-                ]
+                [_fmt(row.c), _fmt(row.theta), *map(_fmt, _entropies(row, args.bits)), row.region]
             )
     return EXIT_OK
 
@@ -261,8 +231,24 @@ def cmd_critique(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_grid(c_list: Sequence[float], tol: float, grid_n: int, lines: list[str]) -> bool:
-    ok = True
+@dataclass(frozen=True)
+class Check:
+    """One line of `eur verify` output; passed=None marks an INFO line."""
+
+    suite: str
+    passed: Optional[bool]
+    text: str
+
+    def line(self) -> str:
+        status = "INFO" if self.passed is None else "PASS" if self.passed else "FAIL"
+        return f"{status} {self.suite} {self.text}"
+
+
+# Every runner takes (c_list, tol, grid_n, seed) and ignores what its suite
+# does not use; _SUITES passes None for a tolerance or grid it has no default for.
+
+
+def _grid_checks(c_list, tol, grid_n, seed) -> Iterator[Check]:
     for c in c_list:
         rep = oracle.grid_min(c, points_per_axis=grid_n)
         if c >= core.INV_SQRT2:
@@ -271,110 +257,96 @@ def _verify_grid(c_list: Sequence[float], tol: float, grid_n: int, lines: list[s
         else:
             passed = rep.oracle_min <= rep.analytic_ref + tol and rep.oracle_min < core.b_mu(c)
             desc = f"min = {rep.oracle_min:.6f} vs endpoint-infimum {rep.analytic_ref:.6f}"
-        lines.append(f"{'PASS' if passed else 'FAIL'} grid c={c:g} {desc} (tol {tol:g})")
-        ok &= passed
-    return ok
+        yield Check("grid", passed, f"c={c:g} {desc} (tol {tol:g})")
 
 
-def _verify_qubit(c_list: Sequence[float], tol: float, lines: list[str]) -> bool:
-    ok = True
+def _qubit_checks(c_list, tol, grid_n, seed) -> Iterator[Check]:
     for c in c_list:
-        rep = oracle.qubit_min(c)
-        passed = abs(rep.gap) <= tol
-        lines.append(
-            f"{'PASS' if passed else 'FAIL'} qubit c={c:g} |oracle-analytic| = "
-            f"{abs(rep.gap):.3e} (tol {tol:g})"
-        )
-        ok &= passed
-    return ok
+        gap = abs(oracle.qubit_min(c).gap)
+        yield Check("qubit", gap <= tol, f"c={c:g} |oracle-analytic| = {gap:.3e} (tol {tol:g})")
 
 
-def _verify_shape(c_list: Sequence[float], grid_n: int, lines: list[str]) -> bool:
-    ok = True
+def _shape_checks(c_list, tol, grid_n, seed) -> Iterator[Check]:
     for c in c_list:
         try:
             summary = oracle.shape_check(c, grid=max(grid_n, 1000))
         except VerificationError as exc:
-            lines.append(f"FAIL shape c={c:g} {exc}")
-            ok = False
+            yield Check("shape", False, f"c={c:g} {exc}")
         else:
-            lines.append(
-                f"PASS shape c={c:g} sign-changes={summary.e1_sign_changes} "
-                f"extremum={summary.extremum} endpoint-gap={summary.k_endpoint_gap:.2e}"
+            yield Check(
+                "shape",
+                True,
+                f"c={c:g} sign-changes={summary.e1_sign_changes} "
+                f"extremum={summary.extremum} endpoint-gap={summary.k_endpoint_gap:.2e}",
             )
-    for c, diff in oracle.delta_m_inf_limit():
+    limit = oracle.delta_m_inf_limit()
+    for c, diff in limit:
         if diff <= 0.0:
-            lines.append(f"FAIL shape margin b_mu - m_inf = {diff:.3e} at c={c!r} not positive")
-            ok = False
-    limit_tail = oracle.delta_m_inf_limit()[-1][1]
-    lines.append(
-        f"INFO shape measured limit of b_mu - m_inf toward 1/sqrt(2) is {limit_tail:.3e} "
-        "(converges to 0; the difference stays positive on the open interval)"
+            yield Check("shape", False, f"margin b_mu - m_inf = {diff:.3e} at c={c!r} not positive")
+    yield Check(
+        "shape",
+        None,
+        f"measured limit of b_mu - m_inf toward 1/sqrt(2) is {limit[-1][1]:.3e} "
+        "(converges to 0; the difference stays positive on the open interval)",
     )
-    return ok
 
 
-def _verify_random(tol: float, seed: int, lines: list[str]) -> bool:
-    ok = True
+def _random_checks(c_list, tol, grid_n, seed) -> Iterator[Check]:
     for dim in _RANDOM_DIMS:
         try:
             summary = oracle.random_state_check(dim, _RANDOM_SAMPLES, seed)
         except VerificationError as exc:
-            lines.append(f"FAIL random dim={dim} {exc}")
-            ok = False
+            yield Check("random", False, f"dim={dim} {exc}")
             continue
-        passed = summary.min_margin >= -tol
-        lines.append(
-            f"{'PASS' if passed else 'FAIL'} random dim={dim} samples={summary.samples} "
-            f"tightest margin = {summary.min_margin:.3e} at c = {summary.argmin_overlap:.4f}"
+        yield Check(
+            "random",
+            summary.min_margin >= -tol,
+            f"dim={dim} samples={summary.samples} tightest margin = "
+            f"{summary.min_margin:.3e} at c = {summary.argmin_overlap:.4f}",
         )
-        ok &= passed
-    return ok
 
 
-def _verify_critique(c_list: Sequence[float], tol: float, lines: list[str]) -> bool:
-    ok = True
+def _critique_checks(c_list, tol, grid_n, seed) -> Iterator[Check]:
     for c in c_list:
         rep = solve.critique_report(c)
         nontrivial = len(rep.roots)
         all_flagged = nontrivial > 0 and rep.inadmissible_count == nontrivial
         residual_ok = all(r.residual <= tol for r in rep.roots)
-        passed = all_flagged and residual_ok
-        lines.append(
-            f"{'PASS' if passed else 'FAIL'} critique c={c:g} roots={nontrivial} "
-            f"inadmissible={rep.inadmissible_count} max-residual="
-            f"{max((r.residual for r in rep.roots), default=0.0):.2e}"
+        yield Check(
+            "critique",
+            all_flagged and residual_ok,
+            f"c={c:g} roots={nontrivial} inadmissible={rep.inadmissible_count} max-residual="
+            f"{max((r.residual for r in rep.roots), default=0.0):.2e}",
         )
-        ok &= passed
-    return ok
+
+
+# suite -> (runner, default c-list, default tol, default grid), in `--suite all` order
+_SUITES = {
+    "grid": (_grid_checks, (0.3, 0.5, 0.65, 0.75, 0.80, 0.90, 0.99), 2e-3, 2001),
+    "qubit": (_qubit_checks, (0.71, 0.75, 0.80, 0.8336, 0.87, 0.95, 0.99), 1e-6, None),
+    "shape": (_shape_checks, (0.5, 0.8, 0.9), None, 10_000),
+    "random": (_random_checks, (), 1e-9, None),
+    "critique": (_critique_checks, (0.3, 0.5, 0.6), 1e-10, None),
+}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    suites = ["grid", "qubit", "shape", "random", "critique"] if args.suite == "all" else [args.suite]
-    lines: list[str] = []
-    ok = True
-    for suite in suites:
-        c_list = args.c_list or _VERIFY_DEFAULT_C.get(suite, [])
-        if suite == "grid":
-            tol = _resolve_tol(args.tol, _VERIFY_DEFAULT_TOL["grid"])
-            ok &= _verify_grid(c_list, tol, _resolve_grid(args.grid, 2001), lines)
-        elif suite == "qubit":
-            ok &= _verify_qubit(c_list, _resolve_tol(args.tol, _VERIFY_DEFAULT_TOL["qubit"]), lines)
-        elif suite == "shape":
-            ok &= _verify_shape(c_list, _resolve_grid(args.grid, 10_000), lines)
-        elif suite == "random":
-            seed = args.seed if args.seed is not None else _DEFAULT_SEED
-            ok &= _verify_random(_resolve_tol(args.tol, _VERIFY_DEFAULT_TOL["random"]), seed, lines)
-        elif suite == "critique":
-            ok &= _verify_critique(
-                c_list, _resolve_tol(args.tol, _VERIFY_DEFAULT_TOL["critique"]), lines
-            )
-    for line in lines:
-        print(line)
-    n_fail = sum(1 for line in lines if line.startswith("FAIL"))
-    n_pass = sum(1 for line in lines if line.startswith("PASS"))
+    if args.suite == "random" and args.c_list is not None:
+        raise DomainError("the random suite draws its own overlaps; --c-list does not apply")
+    checks: list[Check] = []
+    for suite in _SUITES if args.suite == "all" else [args.suite]:
+        run, c_list, tol, grid_n = _SUITES[suite]
+        if tol is not None:
+            tol = _resolve_tol(args.tol, tol)
+        if grid_n is not None:
+            grid_n = _resolve_grid(args.grid, grid_n)
+        checks.extend(run(args.c_list or c_list, tol, grid_n, args.seed))
+    for check in checks:
+        print(check.line())
+    n_pass = sum(check.passed is True for check in checks)
+    n_fail = sum(check.passed is False for check in checks)
     print(f"RESULT: {n_pass} passed, {n_fail} failed")
-    return EXIT_OK if ok else EXIT_VERIFY
+    return EXIT_VERIFY if n_fail else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--c", dest="c_list", type=float, nargs="+", help=argparse.SUPPRESS)
     p_verify.add_argument("--tol", type=float, default=None)
     p_verify.add_argument("--grid", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--seed", type=int, default=_DEFAULT_SEED)
     p_verify.set_defaults(func=cmd_verify)
 
     p_crit = sub.add_parser("critique", help="constraint audit of the angle-equation roots")

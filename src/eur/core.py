@@ -141,8 +141,7 @@ def h_min(p: float) -> float:
     Attained by m copies of p plus one remainder 1 - m*p, m = multiplicity_of(p).
     Equals binary_entropy(p) for p >= 1/2 and ln m at exact reciprocals.
     """
-    _check_prob(p)
-    m = multiplicity_of(p)
+    m = multiplicity_of(p)  # validates p
     rem = 1.0 - m * p
     if rem < 0.0:  # ulp-level overshoot at reciprocal boundaries
         rem = 0.0
@@ -183,14 +182,7 @@ def g_bound(c: float) -> float:
     Identical to h_min(c^2).
     """
     _check_overlap(c)
-    c2 = c * c
-    k = max(1, int(math.floor(1.0 / c2)))
-    if c2 * (k + 1) <= 1.0:
-        k += 1
-    rem = 1.0 - k * c2
-    if rem < 0.0:
-        rem = 0.0
-    return -k * c2 * math.log(c2) - _xlnx(rem)
+    return h_min(c * c)
 
 
 def lattice_bound(c: float) -> float:

@@ -1,6 +1,6 @@
 """Brute-force verification oracles, independent of the analytic reduction.
 
-Four checks, each attacking the closed-form results from a different side:
+Five checks, each attacking the closed-form results from a different side:
 
   * grid_min          -- 2-D grid minimization of h_min(P_A) + h_min(P_B)
                          under the raw Landau-Pollak constraint, using the
@@ -80,7 +80,6 @@ class RandomStateSummary:
     min_margin: float  # tightest observed H(A)+H(B) - bound
     argmin_index: int
     argmin_overlap: float
-    violations: int
 
 
 @dataclass(frozen=True)
@@ -272,7 +271,6 @@ def random_state_check(dim: int, samples: int, seed: int) -> RandomStateSummary:
     min_margin = math.inf
     arg_idx = -1
     arg_c = math.nan
-    violations = 0
     for idx in range(samples):
         q = _random_basis(rng, dim)
         c = min(float(np.max(np.abs(q))), 1.0)
@@ -284,7 +282,6 @@ def random_state_check(dim: int, samples: int, seed: int) -> RandomStateSummary:
         if margin < min_margin:
             min_margin, arg_idx, arg_c = margin, idx, c
         if margin < -1e-9:
-            violations += 1
             raise VerificationError(
                 f"bound violated at sample {idx} (seed {seed}, dim {dim}): "
                 f"H(A)+H(B) = {entropy_sum} < bound at c = {c} by {-margin}"
@@ -296,7 +293,6 @@ def random_state_check(dim: int, samples: int, seed: int) -> RandomStateSummary:
         min_margin=min_margin,
         argmin_index=arg_idx,
         argmin_overlap=arg_c,
-        violations=violations,
     )
 
 

