@@ -5,70 +5,12 @@ piecewise bound (solve), brute-force verification oracles (oracle), and a CLI
 (cli).  All entropies are in nats.
 """
 
-from .core import (
-    INV_SQRT2,
-    AdmissibleInterval,
-    Overlap,
-    admissible_interval,
-    b_mu,
-    binary_entropy,
-    e_function,
-    e_limit_hi,
-    e_limit_lo,
-    eqc_overlap,
-    f_bound,
-    g_bound,
-    h_min,
-    ineq_c_max,
-    ineq_c_max_single,
-    k_endpoint_value,
-    k_function,
-    k_max_value,
-    kkt_multiplier,
-    lattice_bound,
-    m1_objective,
-    m_inf,
-    multiplicity_of,
-    n_function,
-    nats_to_bits,
-    p_b_of_p_a,
-    r_function,
-)
-from .errors import (
-    BracketError,
-    ConvergenceError,
-    DomainError,
-    EurError,
-    SingularValueError,
-    VerificationError,
-)
-from .oracle import (
-    OracleReport,
-    RandomStateSummary,
-    ShapeSummary,
-    boundary_case_min,
-    grid_min,
-    qubit_min,
-    random_state_check,
-    shape_check,
-)
-from .solve import (
-    BoundReport,
-    CritiqueReport,
-    CritiqueRoot,
-    Region,
-    RegionTag,
-    RootResult,
-    b_vs,
-    c_dagger,
-    c_star,
-    classify_region,
-    critique_report,
-    eqsin_residual,
-    eqsin_roots,
-    find_root,
-    h1_bound,
-    h1_witness,
-)
+from . import core, errors, oracle, solve
+from .core import *
+from .errors import *
+from .oracle import *
+from .solve import *
+
+__all__ = [*core.__all__, *errors.__all__, *oracle.__all__, *solve.__all__]
 
 __version__ = "0.1.0"

@@ -18,10 +18,9 @@ import argparse
 import csv
 import json
 import math
-import operator
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Optional, Sequence
 
 from . import core, oracle, solve
@@ -32,28 +31,12 @@ EXIT_DOMAIN = 2
 EXIT_CONVERGENCE = 3
 EXIT_VERIFY = 4
 
-LN2 = math.log(2.0)
-
-_ENTROPY_FIELDS = ("b_mu", "f", "g", "lattice", "m_inf", "h1", "b_vs")
-_entropy_values = operator.attrgetter(*_ENTROPY_FIELDS)
+# One row of `eval` and `sweep`; every column after theta is an entropy.
+_COLUMNS = ("c", "theta", "b_mu", "f", "g", "lattice", "m_inf", "h1", "b_vs")
 
 _RANDOM_DIMS = (2, 3, 4, 5)
 _RANDOM_SAMPLES = 10_000
 _DEFAULT_SEED = 1234
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    c: float
-    theta: float
-    b_mu: float
-    f: float
-    g: float
-    lattice: float
-    m_inf: Optional[float]  # blank for c >= 1/sqrt(2)
-    h1: Optional[float]  # blank outside [1/sqrt(2), c_star]
-    b_vs: float
-    region: str
 
 
 def _setting(flag, name: str, kind: type, noun: str, default):
@@ -82,43 +65,24 @@ def _fmt(x: Optional[float]) -> str:
     return "" if x is None else f"{x + 0.0:.12g}"  # + 0.0 drops negative zero
 
 
-def _row_and_witness(c: float) -> tuple[SweepRow, Optional[tuple[float, float]]]:
-    report = solve.b_vs(c)
-    cs = solve.c_star().root
-    in_h1_range = core.INV_SQRT2 <= c <= cs
-    h1 = report.nats if report.region.tag is solve.RegionTag.H1 else (
-        solve.h1_bound(c) if in_h1_range else None
-    )
-    mi = core.m_inf(c) if c < core.INV_SQRT2 else None
-    row = SweepRow(
-        c=c,
-        theta=core.Overlap(c).theta,
-        b_mu=core.b_mu(c),
-        f=core.f_bound(c),
-        g=core.g_bound(c),
-        lattice=core.lattice_bound(c),
-        m_inf=mi,
-        h1=h1,
-        b_vs=report.nats,
-        region=str(report.region.tag),
-    )
-    return row, report.witness
-
-
-def _entropies(row: SweepRow, bits: bool) -> list[Optional[float]]:
-    """The row's _ENTROPY_FIELDS values, in nats or converted to bits."""
-    scale = 1.0 / LN2 if bits else 1.0
-    return [None if v is None else v * scale for v in _entropy_values(row)]
-
-
-def _row_record(row: SweepRow, witness: Optional[tuple[float, float]], bits: bool) -> dict:
-    rec: dict = {"c": row.c, "theta": row.theta}
-    rec.update(zip(_ENTROPY_FIELDS, _entropies(row, bits)))
-    rec["region"] = row.region
-    rec["witness_p_a"] = witness[0] if witness else None
-    rec["witness_p_b"] = witness[1] if witness else None
-    rec["unit"] = "bits" if bits else "nats"
-    return rec
+def _row(c: float, bits: bool) -> tuple[list, str, Optional[tuple[float, float]]]:
+    """The _COLUMNS values at overlap c (entropies in nats, or in bits), the
+    region label and the extremizing (P_A, P_B) of b_vs.  m_inf is blank
+    outside the MU region and h1 outside the H1 region."""
+    report = solve.b_vs(c)  # validates c
+    tag = report.region.tag
+    entropies = [
+        core.b_mu(c),
+        core.f_bound(c),
+        core.g_bound(c),
+        core.lattice_bound(c),
+        core.m_inf(c) if tag is solve.RegionTag.MU else None,
+        report.nats if tag is solve.RegionTag.H1 else None,
+        report.nats,
+    ]
+    if bits:
+        entropies = [None if v is None else core.nats_to_bits(v) for v in entropies]
+    return [c, math.acos(c), *entropies], str(tag), report.witness
 
 
 def _print_record(rec: dict, as_json: bool) -> None:
@@ -135,8 +99,13 @@ def _print_record(rec: dict, as_json: bool) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    row, witness = _row_and_witness(args.c)
-    _print_record(_row_record(row, witness, args.bits), args.json)
+    values, region, witness = _row(args.c, args.bits)
+    rec = dict(zip(_COLUMNS, values))
+    rec["region"] = region
+    rec["witness_p_a"] = witness[0] if witness else None
+    rec["witness_p_b"] = witness[1] if witness else None
+    rec["unit"] = "bits" if args.bits else "nats"
+    _print_record(rec, args.json)
     return EXIT_OK
 
 
@@ -178,17 +147,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_DOMAIN
     with out:
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["c", "theta", *_ENTROPY_FIELDS, "region"])
+        writer.writerow([*_COLUMNS, "region"])
         for k in range(count):
             c = lo + k * step
             if abs(c - hi) < step * 1e-6:
                 c = hi  # snap the final sample; k*step can overshoot by ulps
             elif c > hi:
                 break
-            row = _row_and_witness(c)[0]
-            writer.writerow(
-                [_fmt(row.c), _fmt(row.theta), *map(_fmt, _entropies(row, args.bits)), row.region]
-            )
+            values, region, _ = _row(c, args.bits)
+            writer.writerow([*map(_fmt, values), region])
     return EXIT_OK
 
 
@@ -202,17 +169,7 @@ def cmd_critique(args: argparse.Namespace) -> int:
                     "theta": report.theta,
                     "interval_lo": report.interval[0],
                     "interval_hi": report.interval[1],
-                    "roots": [
-                        {
-                            "alpha": r.alpha,
-                            "p_a": r.p_a,
-                            "p_b": r.p_b,
-                            "residual": r.residual,
-                            "admissible": r.admissible,
-                            "violated_constraint": r.violated_constraint,
-                        }
-                        for r in report.roots
-                    ],
+                    "roots": [asdict(r) for r in report.roots],
                 }
             )
         )
@@ -251,7 +208,7 @@ class Check:
 def _grid_checks(c_list, tol, grid_n, seed) -> Iterator[Check]:
     for c in c_list:
         rep = oracle.grid_min(c, points_per_axis=grid_n)
-        if c >= core.INV_SQRT2:
+        if solve.classify_region(c).tag is not solve.RegionTag.MU:
             passed = abs(rep.gap) <= tol
             desc = f"|oracle-analytic| = {abs(rep.gap):.3e}"
         else:
@@ -331,10 +288,15 @@ _SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite == "random" and args.c_list is not None:
-        raise DomainError("the random suite draws its own overlaps; --c-list does not apply")
+    suites = list(_SUITES) if args.suite == "all" else [args.suite]
+    # a suite with no default c-list draws its own overlaps
+    self_drawn = [suite for suite in suites if not _SUITES[suite][1]]
+    if args.c_list is not None and self_drawn:
+        raise DomainError(
+            f"the {self_drawn[0]} suite draws its own overlaps; --c-list does not apply"
+        )
     checks: list[Check] = []
-    for suite in _SUITES if args.suite == "all" else [args.suite]:
+    for suite in suites:
         run, c_list, tol, grid_n = _SUITES[suite]
         if tol is not None:
             tol = _resolve_tol(args.tol, tol)

@@ -31,7 +31,6 @@ ENDPOINT_GUARD = 1e-9
 
 __all__ = [
     "INV_SQRT2",
-    "Overlap",
     "AdmissibleInterval",
     "binary_entropy",
     "multiplicity_of",
@@ -61,20 +60,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Overlap:
-    """Overlap c in (0, 1] with its derived angle theta = arccos(c)."""
-
-    c: float
-
-    def __post_init__(self) -> None:
-        _check_overlap(self.c)
-
-    @property
-    def theta(self) -> float:
-        return math.acos(self.c)
-
-
-@dataclass(frozen=True)
 class AdmissibleInterval:
     """Open interval (lo, hi) of P_A values compatible with a saturated
     Landau-Pollak constraint at unit multiplicity."""
@@ -89,8 +74,8 @@ class AdmissibleInterval:
     def contains(self, p: float, tol: float = 0.0) -> bool:
         return self.lo - tol <= p <= self.hi + tol
 
-    def strict_interior(self, p: float, guard: float = ENDPOINT_GUARD) -> bool:
-        d = guard * self.width
+    def strict_interior(self, p: float) -> bool:
+        d = ENDPOINT_GUARD * self.width
         return self.lo + d < p < self.hi - d
 
 
@@ -102,6 +87,14 @@ def _check_overlap(c: float) -> None:
 def _check_prob(p: float, name: str = "p") -> None:
     if not (0.0 < p <= 1.0) or math.isnan(p):
         raise DomainError(f"{name} must lie in (0, 1], got {p!r}")
+
+
+def _reciprocal(x: float, name: str) -> float:
+    """1/x for x > 0; an x so small that 1/x overflows is a DomainError."""
+    inv = 1.0 / x if x > 0.0 else math.inf
+    if inv == math.inf:
+        raise DomainError(f"{name} = {x!r} is too small: 1/{name} overflows")
+    return inv
 
 
 def _xlnx(x: float) -> float:
@@ -128,7 +121,7 @@ def multiplicity_of(p: float) -> int:
     the boundary.
     """
     _check_prob(p)
-    m = max(1, int(math.floor(1.0 / p)))
+    m = max(1, int(math.floor(_reciprocal(p, "p"))))
     # floor(1/p) can undershoot by one when 1/p rounds down across an integer
     if p * (m + 1) <= 1.0:
         m += 1
@@ -191,11 +184,14 @@ def lattice_bound(c: float) -> float:
     Returns 0 at c = 1, else ln M for the unique integer M >= 2 with
     1/sqrt(M) <= c < 1/sqrt(M-1).
     """
+    return math.log(_lattice_multiplicity(c))
+
+
+def _lattice_multiplicity(c: float) -> int:
+    """Least integer M with 1/sqrt(M) <= c, i.e. ceil(1/c^2); the reciprocal
+    pair (1, 1/M) is the lattice candidate at overlap c."""
     _check_overlap(c)
-    if c == 1.0:
-        return 0.0
-    m = math.ceil(1.0 / (c * c))
-    return math.log(m)
+    return math.ceil(_reciprocal(c * c, "c^2"))
 
 
 def p_b_of_p_a(p_a: float, c: float) -> float:
@@ -448,6 +444,9 @@ def kkt_multiplier(p_a: float) -> float:
     return 2.0 * math.sqrt(p_a * (1.0 - p_a)) * math.log(p_a / (1.0 - p_a))
 
 
+_BITS_PER_NAT = 1.0 / math.log(2.0)
+
+
 def nats_to_bits(x: float) -> float:
     """Display-time conversion of an entropy value from nats to bits."""
-    return x / math.log(2.0)
+    return x * _BITS_PER_NAT

@@ -1,5 +1,14 @@
 """Semantic exception hierarchy. Public functions never raise bare ValueError."""
 
+__all__ = [
+    "EurError",
+    "DomainError",
+    "SingularValueError",
+    "BracketError",
+    "ConvergenceError",
+    "VerificationError",
+]
+
 
 class EurError(Exception):
     """Base class for all errors raised by this package."""

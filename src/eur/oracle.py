@@ -34,6 +34,7 @@ import numpy as np
 
 from .core import (
     INV_SQRT2,
+    _lattice_multiplicity,
     admissible_interval,
     b_mu,
     binary_entropy,
@@ -115,17 +116,6 @@ def _h_min_vec(p: np.ndarray) -> np.ndarray:
     return out
 
 
-_Candidate = tuple[float, int, int]  # (value, i, j); lexicographic merge
-
-
-def _merge(best: Optional[_Candidate], cand: Optional[_Candidate]) -> Optional[_Candidate]:
-    if cand is None:
-        return best
-    if best is None or cand < best:
-        return cand
-    return best
-
-
 def grid_min(c: float, points_per_axis: int = 2001, chunk_rows: int = 512) -> OracleReport:
     """Minimum of h_min(P_A) + h_min(P_B) over a grid on (0, 1]^2 restricted
     to arccos(sqrt(P_A)) + arccos(sqrt(P_B)) >= arccos(c).
@@ -145,17 +135,15 @@ def grid_min(c: float, points_per_axis: int = 2001, chunk_rows: int = 512) -> Or
     ang = np.arccos(np.sqrt(p))
     hm = _h_min_vec(p)
 
-    best: Optional[_Candidate] = None
+    # (value, i, j) per chunk; tuple order breaks value ties by index
+    minima = []
     for i0 in range(0, n, chunk_rows):
         i1 = min(i0 + chunk_rows, n)
         feas = ang[i0:i1, None] + ang[None, :] >= theta
         tot = np.where(feas, hm[i0:i1, None] + hm[None, :], np.inf)
         k = np.unravel_index(np.argmin(tot), tot.shape)
-        v = float(tot[k])
-        if math.isfinite(v):
-            best = _merge(best, (v, i0 + int(k[0]), int(k[1])))
-    assert best is not None  # (1, 1) is always feasible
-    coarse_val, bi, bj = best
+        minima.append((float(tot[k]), i0 + int(k[0]), int(k[1])))
+    coarse_val, bi, bj = min(minima)
     coarse_arg = (float(p[bi]), float(p[bj]))
 
     fine_val, fine_arg = coarse_val, coarse_arg
@@ -186,7 +174,10 @@ def _qubit_objective(phi: float, theta: float) -> float:
     return binary_entropy(math.cos(phi) ** 2) + binary_entropy(math.cos(theta - phi) ** 2)
 
 
-def qubit_min(c: float, coarse_points: int = 100_000) -> OracleReport:
+_QUBIT_COARSE_POINTS = 100_000
+
+
+def qubit_min(c: float) -> OracleReport:
     """Exact minimum entropy sum over two-dimensional pure states.
 
     The state (cos phi, sin phi) in the first eigenbasis yields outcome
@@ -197,12 +188,12 @@ def qubit_min(c: float, coarse_points: int = 100_000) -> OracleReport:
     if math.isnan(c) or not (INV_SQRT2 - 1e-12 <= c <= 1.0):
         raise DomainError(f"qubit_min requires 1/sqrt(2) <= c <= 1, got {c!r}")
     theta = math.acos(min(c, 1.0))
-    phi = np.linspace(0.0, math.pi, coarse_points, endpoint=False)
+    phi = np.linspace(0.0, math.pi, _QUBIT_COARSE_POINTS, endpoint=False)
     pa = np.cos(phi) ** 2
     pb = np.cos(theta - phi) ** 2
     tot = _binary_entropy_vec(pa) + _binary_entropy_vec(pb)
     j = int(np.argmin(tot))
-    step = math.pi / coarse_points
+    step = math.pi / _QUBIT_COARSE_POINTS
     a = float(phi[j]) - step
     b = float(phi[j]) + step
 
@@ -227,7 +218,7 @@ def qubit_min(c: float, coarse_points: int = 100_000) -> OracleReport:
         analytic_ref=ref,
         gap=val - ref,
         argmin=phi_min,
-        resolution=f"{coarse_points}-point sweep + golden section to 1e-10",
+        resolution=f"{_QUBIT_COARSE_POINTS}-point sweep + golden section to 1e-10",
     )
 
 
@@ -401,8 +392,7 @@ def boundary_case_min(c: float) -> OracleReport:
         arg = (1.0, c * c)
     else:
         val = lat
-        m = max(1, math.ceil(1.0 / (c * c)))
-        arg = (1.0, 1.0 / m)
+        arg = (1.0, 1.0 / _lattice_multiplicity(c))
     ref = b_vs(c).nats
     if val < ref - 1e-12:
         raise VerificationError(

@@ -44,6 +44,14 @@ class TestEval:
         assert rec["witness_p_a"] == pytest.approx(0.95)
         assert rec["unit"] == "nats"
 
+    def test_c_star_is_f_region_with_blank_h1(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "--c", repr(solve.c_star().root), "--json")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["region"] == "FRegion"
+        assert rec["h1"] is None
+        assert rec["b_vs"] == rec["f"]
+
     def test_bits_conversion(self, capsys):
         _, out_nats, _ = run_cli(capsys, "eval", "--c", "0.8", "--json")
         _, out_bits, _ = run_cli(capsys, "eval", "--c", "0.8", "--bits", "--json")
@@ -59,9 +67,11 @@ class TestEval:
         assert code == 2
         assert "(0, 1]" in err
 
-    def test_underflowing_overlap_exit_2(self, capsys):
-        # c*c underflows to 0: a domain error, not a ZeroDivisionError
-        code, out, err = run_cli(capsys, "eval", "--c", "1e-170")
+    # c*c underflows to 0, or is subnormal so that 1/c^2 overflows: a domain
+    # error, not a ZeroDivisionError or OverflowError
+    @pytest.mark.parametrize("c", ["1e-170", "1e-160"])
+    def test_underflowing_overlap_exit_2(self, capsys, c):
+        code, out, err = run_cli(capsys, "eval", "--c", c)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
@@ -108,7 +118,7 @@ class TestSweep:
             region = row[9]
             # blank-cell policy
             assert (row[6] == "") == (c >= core.INV_SQRT2)
-            assert (row[7] == "") == (not core.INV_SQRT2 <= c <= cs)
+            assert (row[7] == "") == (not core.INV_SQRT2 <= c < cs)
             # piecewise value equals the branch column
             branch = {"MuRegion": row[2], "H1Region": row[7], "FRegion": row[3]}[region]
             assert float(row[8]) == pytest.approx(float(branch), abs=1e-12)
@@ -235,15 +245,15 @@ class TestVerify:
         assert out == ""
         assert "draws its own overlaps" in err
 
-    def test_all_suite_passes_c_list_to_the_other_suites(self, capsys, monkeypatch):
-        def boom(dim, samples, seed):
-            raise VerificationError("boom")
-
-        monkeypatch.setattr(cli.oracle, "random_state_check", boom)
-        # 0.8 reaches the critique suite, whose domain is c < 1/sqrt(2)
-        code, _, err = run_cli(capsys, "verify", "--suite", "all", "--c-list", "0.8")
+    def test_all_suite_rejects_c_list_before_running(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.oracle, "grid_min", lambda *a, **k: calls.append(a))
+        # `all` includes the random suite, which draws its own overlaps
+        code, out, err = run_cli(capsys, "verify", "--suite", "all", "--c-list", "0.8")
         assert code == 2
-        assert "critique_report requires" in err
+        assert out == ""
+        assert "the random suite draws its own overlaps" in err
+        assert calls == []
 
     def test_tight_tolerance_fails_exit_4(self, capsys):
         # grid resolution cannot meet 1e-9: surfaced as FAIL, not hidden

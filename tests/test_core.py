@@ -82,7 +82,7 @@ class TestMultiplicity:
     def test_examples(self, p, m):
         assert core.multiplicity_of(p) == m
 
-    @pytest.mark.parametrize("p", [0.0, -0.5, 1.5])
+    @pytest.mark.parametrize("p", [0.0, -0.5, 1.5, 5e-324])  # 1/5e-324 overflows
     def test_domain(self, p):
         with pytest.raises(DomainError):
             core.multiplicity_of(p)
@@ -113,6 +113,11 @@ class TestHMin:
     def test_one_sided_continuity_at_one(self):
         # p = 1 is the domain edge; the approach is x ln x slow
         assert core.h_min(1.0 - 1e-10) <= 1e-8
+
+    @pytest.mark.parametrize("p", [0.0, 1e-310])  # 1/1e-310 overflows
+    def test_domain(self, p):
+        with pytest.raises(DomainError):
+            core.h_min(p)
 
     @given(st.floats(min_value=0.5, max_value=1.0))
     def test_equals_binary_entropy_above_half(self, p):
@@ -171,6 +176,11 @@ class TestLatticeBound:
     )
     def test_values(self, c, val):
         assert core.lattice_bound(c) == pytest.approx(val, abs=1e-12)
+
+    @pytest.mark.parametrize("c", [0.0, 1.5, 1e-170, 1e-160])  # c*c underflows / 1/c^2 overflows
+    def test_domain(self, c):
+        with pytest.raises(DomainError):
+            core.lattice_bound(c)
 
 
 class TestPbOfPa:
@@ -445,19 +455,6 @@ class TestKktMultiplier:
     def test_domain(self, p):
         with pytest.raises(DomainError):
             core.kkt_multiplier(p)
-
-
-class TestOverlapType:
-    def test_theta_round_trip(self):
-        for c in (0.1, 0.5, core.INV_SQRT2, 0.99, 1.0):
-            ov = core.Overlap(c)
-            assert math.cos(ov.theta) == pytest.approx(c, abs=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            core.Overlap(0.0)
-        with pytest.raises(DomainError):
-            core.Overlap(1.5)
 
 
 class TestDerivativeConsistency:
