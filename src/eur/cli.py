@@ -137,9 +137,12 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     lo, hi, step = args.from_, args.to, args.step
-    if not (0.0 < lo < hi <= 1.0) or step <= 0.0:
+    if not (0.0 < lo < hi <= 1.0 and step > 0.0):
         raise DomainError(f"need 0 < from < to <= 1 and step > 0, got {lo}, {hi}, {step}")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step
+    if not math.isfinite(span) or lo + step == lo:
+        raise DomainError(f"step {step} is too small to advance from {lo} to {hi}")
+    count = int(math.floor(span + 1e-9)) + 1
     try:
         out = open(args.out, "w", newline="")
     except OSError as exc:

@@ -158,6 +158,26 @@ class TestSweep:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("step", ["5e-324", "1e-300"])
+    def test_step_too_small_exit_2(self, tmp_path, capsys, step):
+        # 5e-324 overflows the row count; 1e-300 never moves c off 0.1
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--from", "0.1", "--to", "0.2", "--step", step, "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert "too small" in err
+        assert not out_path.exists()
+
+    def test_nan_step_exit_2(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys, "sweep", "--from", "0.1", "--to", "0.2", "--step", "nan",
+            "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert "step > 0" in err
+
     def test_bits_scaling(self, tmp_path, capsys):
         p1, p2 = tmp_path / "n.csv", tmp_path / "b.csv"
         run_cli(capsys, "sweep", "--from", "0.4", "--to", "0.6", "--step", "0.1", "--out", str(p1))

@@ -1,12 +1,40 @@
 """Tests for the brute-force verification oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from eur import core, oracle, solve
-from eur.errors import DomainError
+from eur.errors import DomainError, VerificationError
+
+
+def reference_random_state_check(dim, samples, seed):
+    """The per-sample loop that random_state_check batches: one QR, one state
+    draw and one exact bound per sample, raising at the first violation."""
+    rng = np.random.default_rng(seed)
+    min_margin, arg_idx, arg_c = math.inf, -1, math.nan
+    for idx in range(samples):
+        z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        q = q * (d / np.abs(d))
+        c = min(float(np.max(np.abs(q))), 1.0)
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        psi = psi / np.linalg.norm(psi)
+        p_a = np.abs(psi) ** 2
+        p_b = np.abs(q.conj().T @ psi) ** 2
+        entropy_sum = float(oracle._entropy_rows(p_a) + oracle._entropy_rows(p_b))
+        margin = entropy_sum - oracle.b_vs(c).nats
+        if margin < min_margin:
+            min_margin, arg_idx, arg_c = margin, idx, c
+        if margin < -1e-9:
+            raise VerificationError(
+                f"bound violated at sample {idx} (seed {seed}, dim {dim}): "
+                f"H(A)+H(B) = {entropy_sum} < bound at c = {c} by {-margin}"
+            )
+    return oracle.RandomStateSummary(dim, samples, seed, min_margin, arg_idx, arg_c)
 
 
 class TestGridMin:
@@ -117,7 +145,8 @@ class TestRandomStateCheck:
 
     def test_eigenstate_respects_bound(self):
         rng = np.random.default_rng(99)
-        q = oracle._random_basis(rng, 4)
+        bases, _ = oracle._draw_samples(rng, 4, 1)
+        q = bases[0]
         c = min(float(np.max(np.abs(q))), 1.0)
         p_b = np.abs(q.conj().T[:, 0]) ** 2  # state = first computational vector
         entropy = -float(np.sum(p_b[p_b > 1e-300] * np.log(p_b[p_b > 1e-300])))
@@ -126,13 +155,51 @@ class TestRandomStateCheck:
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_generated_basis_is_unitary(self, dim):
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            q = oracle._random_basis(rng, dim)
+        bases, states = oracle._draw_samples(rng, dim, 20)
+        for q, psi in zip(bases, states):
             assert np.max(np.abs(q.conj().T @ q - np.eye(dim))) <= 1e-10
             c = float(np.max(np.abs(q)))
             assert 1.0 / math.sqrt(dim) - 1e-12 <= c <= 1.0 + 1e-12
-            psi = oracle._random_state(rng, dim)
             assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "samples,seed", [(1, 1234), (255, 1234), (256, 3), (257, 3), (2001, 1234), (2001, 99)]
+    )
+    def test_equals_per_sample_loop(self, dim, samples, seed):
+        # chunk edges, a partial last chunk and a single sample
+        expected = reference_random_state_check(dim, samples, seed)
+        assert oracle.random_state_check(dim, samples, seed) == expected
+
+    @pytest.mark.parametrize(
+        "dim,regions,delta",
+        [
+            (2, ("H1", "F"), 1e-3),
+            (2, ("H1",), 1e-3),  # an upward jump at 1/sqrt(2)
+            # raises wider than a knot cell: several violations in a chunk,
+            # some skipped by a screen that stopped at the first one found
+            (2, ("H1", "F"), 1e-2),
+            (3, ("MU", "H1", "F"), 0.2),
+        ],
+        ids=["h1_and_f", "h1_only", "h1_and_f_wide", "dim3_all_wide"],
+    )
+    def test_raised_bound_is_caught(self, monkeypatch, dim, regions, delta):
+        # runs the real bound first, so a knot table kept from it would hide the raise
+        assert oracle.random_state_check(dim, 10_000, 1234).min_margin >= -1e-9
+        real = oracle.b_vs
+
+        def raised(c):
+            rep = real(c)
+            if rep.region.tag.name in regions:
+                return dataclasses.replace(rep, nats=rep.nats + delta)
+            return rep
+
+        monkeypatch.setattr(oracle, "b_vs", raised)
+        with pytest.raises(VerificationError) as expected:
+            reference_random_state_check(dim, 10_000, 1234)
+        with pytest.raises(VerificationError) as got:
+            oracle.random_state_check(dim, 10_000, 1234)
+        assert str(got.value) == str(expected.value)
 
     def test_domain(self):
         with pytest.raises(DomainError):
