@@ -53,14 +53,6 @@ def _setting(flag, name: str, kind: type, noun: str, default):
         raise DomainError(f"environment variable {name} is not {noun}: {raw!r}")
 
 
-def _resolve_tol(flag: Optional[float], default: float) -> float:
-    return _setting(flag, "EUR_TOL", float, "a number", default)
-
-
-def _resolve_grid(flag: Optional[int], default: int) -> int:
-    return _setting(flag, "EUR_GRID", int, "an integer", default)
-
-
 def _fmt(x: Optional[float]) -> str:
     return "" if x is None else f"{x + 0.0:.12g}"  # + 0.0 drops negative zero
 
@@ -139,6 +131,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lo, hi, step = args.from_, args.to, args.step
     if not (0.0 < lo < hi <= 1.0 and step > 0.0):
         raise DomainError(f"need 0 < from < to <= 1 and step > 0, got {lo}, {hi}, {step}")
+    if step == math.inf:
+        raise DomainError("step must be finite, got inf")
     span = (hi - lo) / step
     if not math.isfinite(span) or lo + step == lo:
         raise DomainError(f"step {step} is too small to advance from {lo} to {hi}")
@@ -153,7 +147,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         writer.writerow([*_COLUMNS, "region"])
         for k in range(count):
             c = lo + k * step
-            if abs(c - hi) < step * 1e-6:
+            if k and abs(c - hi) < step * 1e-6:  # row 0 stays at `from`, whatever the step
                 c = hi  # snap the final sample; k*step can overshoot by ulps
             elif c > hi:
                 break
@@ -302,9 +296,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for suite in suites:
         run, c_list, tol, grid_n = _SUITES[suite]
         if tol is not None:
-            tol = _resolve_tol(args.tol, tol)
+            tol = _setting(args.tol, "EUR_TOL", float, "a number", tol)
         if grid_n is not None:
-            grid_n = _resolve_grid(args.grid, grid_n)
+            grid_n = _setting(args.grid, "EUR_GRID", int, "an integer", grid_n)
         checks.extend(run(args.c_list or c_list, tol, grid_n, args.seed))
     for check in checks:
         print(check.line())

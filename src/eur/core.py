@@ -378,7 +378,10 @@ def r_function(x: float) -> float:
     about x = 1/2.  Drives the monotonicity of n_function."""
     if not (0.0 < x < 1.0) or math.isnan(x):
         raise DomainError(f"r_function requires 0 < x < 1, got {x!r}")
-    return math.log(x / (1.0 - x)) + (1.0 - 2.0 * x) / (2.0 * x * (1.0 - x))
+    value = math.log(x / (1.0 - x)) + (1.0 - 2.0 * x) / (2.0 * x * (1.0 - x))
+    if value == math.inf:  # the second term overflows for x below about 2.8e-309
+        raise DomainError(f"r_function({x!r}) overflows")
+    return value
 
 
 def m_inf(c: float) -> float:

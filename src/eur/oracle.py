@@ -40,6 +40,7 @@ import numpy as np
 
 from .core import (
     INV_SQRT2,
+    _check_overlap,
     _lattice_multiplicity,
     admissible_interval,
     b_mu,
@@ -122,7 +123,10 @@ def _h_min_vec(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def grid_min(c: float, points_per_axis: int = 2001, chunk_rows: int = 512) -> OracleReport:
+_GRID_CHUNK_ROWS = 512  # grid_min scans this many rows at a time; the result does not depend on it
+
+
+def grid_min(c: float, points_per_axis: int = 2001) -> OracleReport:
     """Minimum of h_min(P_A) + h_min(P_B) over a grid on (0, 1]^2 restricted
     to arccos(sqrt(P_A)) + arccos(sqrt(P_B)) >= arccos(c).
 
@@ -131,8 +135,7 @@ def grid_min(c: float, points_per_axis: int = 2001, chunk_rows: int = 512) -> Or
     pass at 100x finer spacing around the coarse argmin (and its mirror)
     sharpens the reported minimum.
     """
-    if not (0.0 < c <= 1.0) or math.isnan(c):
-        raise DomainError(f"overlap must lie in (0, 1], got {c!r}")
+    _check_overlap(c)
     if points_per_axis < 100:
         raise DomainError("points_per_axis must be at least 100")
     n = points_per_axis
@@ -143,8 +146,8 @@ def grid_min(c: float, points_per_axis: int = 2001, chunk_rows: int = 512) -> Or
 
     # (value, i, j) per chunk; tuple order breaks value ties by index
     minima = []
-    for i0 in range(0, n, chunk_rows):
-        i1 = min(i0 + chunk_rows, n)
+    for i0 in range(0, n, _GRID_CHUNK_ROWS):
+        i1 = min(i0 + _GRID_CHUNK_ROWS, n)
         feas = ang[i0:i1, None] + ang[None, :] >= theta
         tot = np.where(feas, hm[i0:i1, None] + hm[None, :], np.inf)
         k = np.unravel_index(np.argmin(tot), tot.shape)
@@ -461,15 +464,15 @@ def boundary_case_min(c: float) -> OracleReport:
     )
 
 
-def delta_m_inf_limit(ks: tuple[int, ...] = (3, 4, 5, 6, 7, 8)) -> list[tuple[float, float]]:
-    """Measured values of b_mu(c) - m_inf(c) at c = 1/sqrt(2) - 10^-k.
+def delta_m_inf_limit() -> list[tuple[float, float]]:
+    """Measured values of b_mu(c) - m_inf(c) at c = 1/sqrt(2) - 10^-k, k = 3..8.
 
     Informational: the difference is positive and strictly decreasing on
     (0, 1/sqrt(2)), and the measured values converge to 0 at the right edge.
     Returned as (c, difference) pairs.
     """
     out = []
-    for k in ks:
+    for k in (3, 4, 5, 6, 7, 8):
         c = INV_SQRT2 - 10.0 ** (-k)
         out.append((c, b_mu(c) - m_inf(c)))
     return out

@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 from .core import (
     INV_SQRT2,
+    _check_overlap,
     admissible_interval,
     b_mu,
     binary_entropy,
@@ -77,10 +78,6 @@ class RegionTag(Enum):
 class Region:
     tag: RegionTag
     c_star: float
-
-    @property
-    def boundaries(self) -> tuple[float, float]:
-        return (INV_SQRT2, self.c_star)
 
 
 @dataclass(frozen=True)
@@ -197,8 +194,7 @@ def c_dagger() -> RootResult:
 def classify_region(c: float) -> Region:
     """Branch of the piecewise bound containing c.  Boundary ties: exactly
     1/sqrt(2) classifies as H1Region, exactly c_star as FRegion."""
-    if not (0.0 < c <= 1.0) or math.isnan(c):
-        raise DomainError(f"overlap must lie in (0, 1], got {c!r}")
+    _check_overlap(c)
     cs = c_star().root
     if c < INV_SQRT2:
         tag = RegionTag.MU
@@ -288,6 +284,7 @@ def b_vs(c: float) -> BoundReport:
 # --- trigonometric stationarity equation in the angle variable ------------
 
 _EXCLUSION_RADIUS = 1e-6  # around the removable points theta/2, theta/2 + pi/4
+_SCAN_STEP = 1e-4  # alpha spacing of the eqsin_roots scan and its root-merge distance
 
 
 def _excluded_points(theta: float) -> tuple[float, float]:
@@ -302,44 +299,44 @@ def eqsin_residual(alpha: float, theta: float) -> float:
 
     for a = alpha, t = theta.  The points alpha = theta/2 and
     alpha = theta/2 + pi/4 satisfy it identically (they carry P_A = P_B and
-    P_A + P_B = 1 respectively) and are rejected as inputs.
+    P_A + P_B = 1 respectively) and are rejected as inputs, as are angles
+    whose doubles 2a and 2(a-t) are not finite.
     """
+    d = alpha - theta
+    a2, d2 = 2.0 * alpha, 2.0 * d
+    if not (math.isfinite(a2) and math.isfinite(d2)):
+        raise DomainError(f"angles out of range: alpha = {alpha!r}, theta = {theta!r}")
     for pt in _excluded_points(theta):
         if abs(alpha - pt) < 1e-12:
             raise DomainError(f"alpha = {alpha!r} is an excluded identical-zero point")
-    cos2a = math.cos(2.0 * alpha)
-    d = alpha - theta
-    cos2d = math.cos(2.0 * d)
+    cos2a = math.cos(a2)
+    cos2d = math.cos(d2)
     sin_d = math.sin(d)
     num1, den1 = 1.0 + cos2a, 1.0 - cos2a
     num2, den2 = 1.0 + cos2d, 2.0 * sin_d * sin_d  # 2(1 - cos^2) = 2 sin^2
     if num1 <= 0.0 or den1 <= 0.0 or num2 <= 0.0 or den2 <= 0.0:
         raise SingularValueError(f"nonpositive log argument at alpha = {alpha!r}")
-    return math.sin(2.0 * alpha) * math.log(num1 / den1) + math.sin(2.0 * d) * math.log(
-        num2 / den2
-    )
+    return math.sin(a2) * math.log(num1 / den1) + math.sin(d2) * math.log(num2 / den2)
 
 
-def eqsin_roots(theta: float, scan_step: float = 1e-4) -> list[float]:
+def eqsin_roots(theta: float) -> list[float]:
     """All distinct zeros of eqsin_residual over alpha in (-pi/4, pi/2).
 
-    Scans at scan_step, refines each sign change with find_root, skips the
-    identical-zero points and their 1e-6 neighborhoods, and merges refined
-    roots closer than scan_step.  The scan window covers one full period of
-    the cos^2 parametrization.
+    Scans at the fixed step _SCAN_STEP = 1e-4, refines each sign change with
+    find_root, skips the identical-zero points and their 1e-6 neighborhoods,
+    and merges refined roots closer than one step.  The scan window covers
+    one full period of the cos^2 parametrization.
     """
     if not (0.0 < theta < 0.5 * math.pi):
         raise DomainError(f"theta must lie in (0, pi/2), got {theta!r}")
-    if scan_step <= 0.0:
-        raise DomainError("scan_step must be positive")
     lo, hi = -0.25 * math.pi, 0.5 * math.pi
     excl = _excluded_points(theta)
 
-    n = int((hi - lo) / scan_step)
+    n = int((hi - lo) / _SCAN_STEP)
     roots: list[float] = []
     prev: Optional[tuple[float, float]] = None
     for k in range(1, n + 1):
-        x = lo + k * scan_step
+        x = lo + k * _SCAN_STEP
         if x >= hi:
             break
         if min(abs(x - e) for e in excl) <= _EXCLUSION_RADIUS:
@@ -347,7 +344,7 @@ def eqsin_roots(theta: float, scan_step: float = 1e-4) -> list[float]:
             continue
         try:
             v = eqsin_residual(x, theta)
-        except (DomainError, SingularValueError):
+        except DomainError:
             prev = None
             continue
         if v == 0.0:
@@ -357,7 +354,7 @@ def eqsin_roots(theta: float, scan_step: float = 1e-4) -> list[float]:
         if prev is not None and math.copysign(1.0, prev[1]) != math.copysign(1.0, v):
             try:
                 rr = find_root(lambda a: eqsin_residual(a, theta), prev[0], x, abs_tol=1e-12)
-            except (DomainError, SingularValueError):
+            except DomainError:
                 pass  # crossing sits on a removable point; the filter below drops it anyway
             else:
                 roots.append(rr.root)
@@ -367,7 +364,7 @@ def eqsin_roots(theta: float, scan_step: float = 1e-4) -> list[float]:
     roots.sort()
     deduped: list[float] = []
     for r in roots:
-        if not deduped or r - deduped[-1] >= scan_step:
+        if not deduped or r - deduped[-1] >= _SCAN_STEP:
             deduped.append(r)
     return deduped
 
@@ -376,21 +373,22 @@ _CHECK_ORDER = ("multiplicity_range", "admissible_interval", "overlap_identity")
 _EQC_TOL = 1e-9
 
 
-def critique_report(c: float, scan_step: float = 1e-4) -> CritiqueReport:
+def critique_report(c: float) -> CritiqueReport:
     """Constraint audit of every angle-equation root for c < 1/sqrt(2).
 
-    Maps each root alpha to (P_A, P_B) = (cos^2 alpha, cos^2(theta - alpha))
-    and checks, in fixed order: (1) both probabilities in (1/2, 1] (unit
-    multiplicity), (2) P_A inside the admissible interval, (3) the saturated
-    overlap identity sqrt(P_A P_B) - sqrt((1-P_A)(1-P_B)) = c.  Each root is
-    labeled admissible or with the first check it violates.
+    Maps each root alpha of eqsin_roots (fixed 1e-4 scan step) to (P_A, P_B) =
+    (cos^2 alpha, cos^2(theta - alpha)) and checks, in fixed order: (1) both
+    probabilities in (1/2, 1] (unit multiplicity), (2) P_A inside the
+    admissible interval, (3) the saturated overlap identity
+    sqrt(P_A P_B) - sqrt((1-P_A)(1-P_B)) = c.  Each root is labeled
+    admissible or with the first check it violates.
     """
     if not (0.0 < c < INV_SQRT2) or math.isnan(c):
         raise DomainError(f"critique_report requires 0 < c < 1/sqrt(2), got {c!r}")
     theta = math.acos(c)
     iv = admissible_interval(c)
     entries = []
-    for alpha in eqsin_roots(theta, scan_step):
+    for alpha in eqsin_roots(theta):
         p_a = math.cos(alpha) ** 2
         p_b = math.cos(theta - alpha) ** 2
         violated: Optional[str] = None

@@ -230,7 +230,7 @@ def test_criterion_11_core_identities():
 
 
 def test_criterion_12_documented_discrepancy():
-    pairs = oracle.delta_m_inf_limit(ks=(3, 4, 5, 6, 7, 8))
+    pairs = oracle.delta_m_inf_limit()
     diffs = [d for _, d in pairs]
     decreasing = all(b < a for a, b in zip(diffs, diffs[1:]))
     positive = all(d > 0.0 for d in diffs)

@@ -170,13 +170,28 @@ class TestSweep:
         assert "too small" in err
         assert not out_path.exists()
 
-    def test_nan_step_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "step,message", [("nan", "step > 0"), ("inf", "finite")], ids=["nan", "inf"]
+    )
+    def test_nan_step_exit_2(self, tmp_path, capsys, step, message):
+        out_path = tmp_path / "x.csv"
         code, _, err = run_cli(
-            capsys, "sweep", "--from", "0.1", "--to", "0.2", "--step", "nan",
-            "--out", str(tmp_path / "x.csv"),
+            capsys, "sweep", "--from", "0.1", "--to", "0.2", "--step", step, "--out", str(out_path),
         )
         assert code == 2
-        assert "step > 0" in err
+        assert message in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("step", ["1e6", "1e300"])
+    def test_step_past_the_range_writes_from(self, tmp_path, capsys, step):
+        # step * 1e-6 exceeds to - from; the only row must stay at --from
+        out_path = tmp_path / "x.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--from", "0.1", "--to", "0.2", "--step", step, "--out", str(out_path),
+        )
+        assert code == 0
+        rows = list(csv.reader(out_path.read_text().splitlines()))
+        assert [row[0] for row in rows[1:]] == ["0.1"]
 
     def test_bits_scaling(self, tmp_path, capsys):
         p1, p2 = tmp_path / "n.csv", tmp_path / "b.csv"
@@ -292,17 +307,17 @@ class TestVerify:
 class TestConfigPrecedence:
     def test_flag_beats_env(self, monkeypatch):
         monkeypatch.setenv("EUR_TOL", "0.5")
-        assert cli._resolve_tol(1e-6, 2e-3) == 1e-6
+        assert cli._setting(1e-6, "EUR_TOL", float, "a number", 2e-3) == 1e-6
 
     def test_env_beats_default(self, monkeypatch):
         monkeypatch.setenv("EUR_TOL", "0.125")
-        assert cli._resolve_tol(None, 2e-3) == 0.125
+        assert cli._setting(None, "EUR_TOL", float, "a number", 2e-3) == 0.125
         monkeypatch.setenv("EUR_GRID", "1234")
-        assert cli._resolve_grid(None, 2001) == 1234
+        assert cli._setting(None, "EUR_GRID", int, "an integer", 2001) == 1234
 
     def test_default_when_unset(self, monkeypatch):
         monkeypatch.delenv("EUR_TOL", raising=False)
-        assert cli._resolve_tol(None, 2e-3) == 2e-3
+        assert cli._setting(None, "EUR_TOL", float, "a number", 2e-3) == 2e-3
 
     def test_env_tolerance_applies(self, capsys, monkeypatch):
         monkeypatch.setenv("EUR_TOL", "1e-12")

@@ -386,7 +386,8 @@ class TestRFunction:
     def test_antisymmetry(self, x):
         assert core.r_function(x) == pytest.approx(-core.r_function(1.0 - x), abs=1e-10)
 
-    @pytest.mark.parametrize("x", [0.0, 1.0, -0.2])
+    # 5e-324 and 1e-310: (1-2x)/(2x(1-x)) overflows to inf
+    @pytest.mark.parametrize("x", [0.0, 1.0, -0.2, 5e-324, 1e-310])
     def test_domain(self, x):
         with pytest.raises(DomainError):
             core.r_function(x)

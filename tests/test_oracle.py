@@ -56,11 +56,11 @@ class TestGridMin:
         large = oracle.grid_min(c, points_per_axis=800)
         assert large.coarse_min <= small.coarse_min + 1e-12
 
-    def test_partition_independence(self):
-        reports = [
-            oracle.grid_min(0.8, points_per_axis=301, chunk_rows=rows)
-            for rows in (7, 64, 301, 10_000)
-        ]
+    def test_partition_independence(self, monkeypatch):
+        reports = []
+        for rows in (7, 64, 301, 10_000):
+            monkeypatch.setattr(oracle, "_GRID_CHUNK_ROWS", rows)
+            reports.append(oracle.grid_min(0.8, points_per_axis=301))
         assert all(r == reports[0] for r in reports[1:])
 
     def test_argmin_feasible(self):

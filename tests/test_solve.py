@@ -115,10 +115,6 @@ class TestClassifyRegion:
         assert solve.classify_region(core.INV_SQRT2).tag is solve.RegionTag.H1
         assert solve.classify_region(solve.c_star().root).tag is solve.RegionTag.F
 
-    def test_boundaries_property(self):
-        region = solve.classify_region(0.5)
-        assert region.boundaries == (core.INV_SQRT2, solve.c_star().root)
-
     def test_domain(self):
         with pytest.raises(DomainError):
             solve.classify_region(0.0)
@@ -295,6 +291,15 @@ class TestEqsinResidual:
         theta = math.acos(0.6)
         with pytest.raises(SingularValueError):
             solve.eqsin_residual(0.0, theta)
+
+    # 1e308 is finite, but 2 * 1e308 is not
+    @pytest.mark.parametrize(
+        "alpha,theta",
+        [(0.3, math.inf), (math.inf, 0.5), (1e308, 0.5), (math.nan, 0.5), (0.3, math.nan)],
+    )
+    def test_non_finite_angles(self, alpha, theta):
+        with pytest.raises(DomainError, match="out of range"):
+            solve.eqsin_residual(alpha, theta)
 
 
 class TestEqsinRoots:
