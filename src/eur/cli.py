@@ -23,7 +23,7 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Iterator, Optional, Sequence
 
-from . import core, oracle, solve
+from . import core, solve
 from .errors import ConvergenceError, DomainError, VerificationError
 
 EXIT_OK = 0
@@ -37,6 +37,16 @@ _COLUMNS = ("c", "theta", "b_mu", "f", "g", "lattice", "m_inf", "h1", "b_vs")
 _RANDOM_DIMS = (2, 3, 4, 5)
 _RANDOM_SAMPLES = 10_000
 _DEFAULT_SEED = 1234
+
+
+def __getattr__(name: str):
+    """`cli.oracle`, imported on first use: the oracles need numpy, which
+    only `verify` does, so its runners import `oracle` where they run."""
+    if name == "oracle":
+        from . import oracle
+
+        return oracle
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _setting(flag, name: str, kind: type, noun: str, default):
@@ -203,6 +213,8 @@ class Check:
 
 
 def _grid_checks(c_list, tol, grid_n, seed) -> Iterator[Check]:
+    from . import oracle
+
     for c in c_list:
         rep = oracle.grid_min(c, points_per_axis=grid_n)
         if solve.classify_region(c).tag is not solve.RegionTag.MU:
@@ -215,12 +227,16 @@ def _grid_checks(c_list, tol, grid_n, seed) -> Iterator[Check]:
 
 
 def _qubit_checks(c_list, tol, grid_n, seed) -> Iterator[Check]:
+    from . import oracle
+
     for c in c_list:
         gap = abs(oracle.qubit_min(c).gap)
         yield Check("qubit", gap <= tol, f"c={c:g} |oracle-analytic| = {gap:.3e} (tol {tol:g})")
 
 
 def _shape_checks(c_list, tol, grid_n, seed) -> Iterator[Check]:
+    from . import oracle
+
     for c in c_list:
         try:
             summary = oracle.shape_check(c, grid=max(grid_n, 1000))
@@ -246,6 +262,8 @@ def _shape_checks(c_list, tol, grid_n, seed) -> Iterator[Check]:
 
 
 def _random_checks(c_list, tol, grid_n, seed) -> Iterator[Check]:
+    from . import oracle
+
     for dim in _RANDOM_DIMS:
         try:
             summary = oracle.random_state_check(dim, _RANDOM_SAMPLES, seed)

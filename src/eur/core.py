@@ -208,7 +208,12 @@ def p_b_of_p_a(p_a: float, c: float) -> float:
     c2 = c * c
     if p_a < c2:
         raise DomainError(f"p_a must be >= c^2 = {c2!r}, got {p_a!r}")
-    root = math.sqrt((1.0 - c2) * (1.0 - p_a)) + c * math.sqrt(p_a)
+    return _p_b(p_a, c)
+
+
+def _p_b(p_a: float, c: float) -> float:
+    # p_b_of_p_a without its checks, for callers that validated (p_a, c)
+    root = math.sqrt((1.0 - c * c) * (1.0 - p_a)) + c * math.sqrt(p_a)
     val = root * root
     return 1.0 if val > 1.0 else val  # clip ulp overshoot at the fixed point
 
@@ -269,7 +274,13 @@ def e_function(p_a: float, c: float, m: int = 1) -> float:
     if m < 1:
         raise DomainError(f"multiplicity must be a positive integer, got {m!r}")
     _require_interior(p_a, c)
-    p_b = p_b_of_p_a(p_a, c)
+    return _e_value(p_a, c, m)
+
+
+def _e_value(p_a: float, c: float, m: int = 1) -> float:
+    # e_function without its checks, for p_a already known to be strictly
+    # inside the admissible interval (the H1 root solve iterates on it)
+    p_b = _p_b(p_a, c)
     term_b = m * math.sqrt(p_b * (1.0 - p_b)) * _log_ratio(p_b, 1.0 - m * p_b)
     term_a = math.sqrt(p_a * (1.0 - p_a)) * _log_ratio(p_a, 1.0 - p_a)
     return term_b - term_a
@@ -311,7 +322,7 @@ def k_function(p_a: float, c: float) -> float:
     and falls beyond it.
     """
     _require_interior(p_a, c)
-    p_b = p_b_of_p_a(p_a, c)
+    p_b = _p_b(p_a, c)
     return (
         (1.0 - 2.0 * p_b) * _log_ratio(p_b, 1.0 - p_b)
         + (1.0 - 2.0 * p_a) * _log_ratio(p_a, 1.0 - p_a)
@@ -360,7 +371,7 @@ def n_function(p_a: float, c: float) -> float:
     interval with its unique zero at P_A = (1+c)/2.
     """
     _require_interior(p_a, c)
-    p_b = p_b_of_p_a(p_a, c)
+    p_b = _p_b(p_a, c)
     sa = math.sqrt(p_a * (1.0 - p_a))
     sb = math.sqrt(p_b * (1.0 - p_b))
     if sa == 0.0 or sb == 0.0:
@@ -413,6 +424,12 @@ def eqc_overlap(p_a: float, p_b: float) -> float:
     return math.sqrt(p_a * p_b) - math.sqrt((1.0 - p_a) * (1.0 - p_b))
 
 
+def _check_multiplicities(m_a: int, m_b: int) -> None:
+    # m % 1 is nan for m = inf and nonzero for non-integral m; nan fails m >= 1
+    if not all(m >= 1 and m % 1 == 0 for m in (m_a, m_b)):
+        raise DomainError(f"multiplicities must be positive integers, got {m_a!r}, {m_b!r}")
+
+
 def ineq_c_max(m_a: int, m_b: int) -> float:
     """Largest overlap compatible with multiplicities (m_a, m_b):
 
@@ -421,15 +438,13 @@ def ineq_c_max(m_a: int, m_b: int) -> float:
     Nonpositive as soon as both multiplicities exceed 1, which is what forces
     one of them to unity for any c > 0.
     """
-    if m_a < 1 or m_b < 1:
-        raise DomainError("multiplicities must be positive integers")
+    _check_multiplicities(m_a, m_b)
     return (1.0 - (m_a - 1) * (m_b - 1)) / math.sqrt(m_a * m_b)
 
 
 def ineq_c_max_single(m_a: int, m_b: int) -> float:
     """Weaker corollary bound 1/sqrt(max(m_a, m_b)) once one multiplicity is 1."""
-    if m_a < 1 or m_b < 1:
-        raise DomainError("multiplicities must be positive integers")
+    _check_multiplicities(m_a, m_b)
     return 1.0 / math.sqrt(max(m_a, m_b))
 
 
@@ -452,4 +467,6 @@ _BITS_PER_NAT = 1.0 / math.log(2.0)
 
 def nats_to_bits(x: float) -> float:
     """Display-time conversion of an entropy value from nats to bits."""
+    if not math.isfinite(x):
+        raise DomainError(f"entropy must be finite, got {x!r}")
     return x * _BITS_PER_NAT

@@ -24,6 +24,7 @@ from typing import Callable, Optional
 from .core import (
     INV_SQRT2,
     _check_overlap,
+    _e_value,
     admissible_interval,
     b_mu,
     binary_entropy,
@@ -191,18 +192,20 @@ def c_dagger() -> RootResult:
     return find_root(lambda c: f_bound(c) - b_mu(c), 0.1, INV_SQRT2, abs_tol=1e-15)
 
 
+@lru_cache(maxsize=1)
+def _regions() -> tuple[Region, Region, Region]:
+    cs = c_star().root
+    return Region(RegionTag.MU, cs), Region(RegionTag.H1, cs), Region(RegionTag.F, cs)
+
+
 def classify_region(c: float) -> Region:
     """Branch of the piecewise bound containing c.  Boundary ties: exactly
     1/sqrt(2) classifies as H1Region, exactly c_star as FRegion."""
     _check_overlap(c)
-    cs = c_star().root
+    mu, h1, f = _regions()
     if c < INV_SQRT2:
-        tag = RegionTag.MU
-    elif c < cs:
-        tag = RegionTag.H1
-    else:
-        tag = RegionTag.F
-    return Region(tag, cs)
+        return mu
+    return h1 if c < h1.c_star else f
 
 
 def _h1_solution(c: float) -> tuple[float, tuple[float, float]]:
@@ -214,7 +217,9 @@ def _h1_solution(c: float) -> tuple[float, tuple[float, float]]:
     the function is positive).  Degenerate cases: at c = 1/sqrt(2) the zero
     merges into the lower endpoint, at c = c_star into the symmetric point;
     both are detected by the bracket signs and answered with the endpoint /
-    symmetric closed forms.
+    symmetric closed forms.  The bracket ends go through the checked
+    e_function; Brent iterates stay inside [a, b], strictly within the
+    endpoint guard, so the root solve iterates on the unchecked _e_value.
     """
     iv = admissible_interval(c)
     mid = 0.5 * (1.0 + c)
@@ -229,7 +234,7 @@ def _h1_solution(c: float) -> tuple[float, tuple[float, float]]:
     if eb <= 0.0:
         # zero merged with the symmetric point (c at or beyond c_star)
         return f_bound(c), (mid, mid)
-    rr = find_root(lambda p: e_function(p, c), a, b)
+    rr = find_root(lambda p: _e_value(p, c), a, b)
     r = rr.root
     pb = p_b_of_p_a(r, c)
     value = binary_entropy(r) + binary_entropy(pb)

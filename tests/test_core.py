@@ -433,9 +433,17 @@ class TestIneqCMax:
         assert core.ineq_c_max_single(1, 4) == 0.5
         assert core.ineq_c_max_single(2, 1) == pytest.approx(core.INV_SQRT2, abs=1e-15)
 
-    def test_domain(self):
+    @pytest.mark.parametrize("fn", [core.ineq_c_max, core.ineq_c_max_single], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "ma,mb", [(0, 1), (1, 0), (math.nan, 1), (1, math.nan), (math.inf, 1), (1, math.inf), (1.5, 1), (1, 2.5)]
+    )
+    def test_domain(self, fn, ma, mb):
         with pytest.raises(DomainError):
-            core.ineq_c_max(0, 1)
+            fn(ma, mb)
+
+    def test_integral_floats_are_accepted(self):
+        assert core.ineq_c_max(1.0, 4.0) == core.ineq_c_max(1, 4)
+        assert core.ineq_c_max_single(2.0, 1.0) == core.ineq_c_max_single(2, 1)
 
 
 class TestKktMultiplier:
@@ -505,3 +513,6 @@ class TestDerivativeConsistency:
 
 def test_nats_to_bits():
     assert core.nats_to_bits(LN2) == pytest.approx(1.0, abs=1e-15)
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            core.nats_to_bits(x)

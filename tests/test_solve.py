@@ -154,6 +154,47 @@ class TestH1Bound:
             solve.h1_bound(c)
 
 
+def _h1_reference(c):
+    """_h1_solution with every E_1 evaluation, bracket ends and iterates, through
+    the checked core.e_function, and the witness through the public functions."""
+    iv = core.admissible_interval(c)
+    mid = 0.5 * (1.0 + c)
+    delta = solve.BRACKET_INSET * (mid - iv.lo)
+    a, b = iv.lo + delta, mid - delta
+    if core.e_function(a, c) >= 0.0:
+        return core.binary_entropy(iv.lo), (iv.lo, 1.0)
+    if core.e_function(b, c) <= 0.0:
+        return core.f_bound(c), (mid, mid)
+    r = solve.find_root(lambda p: core.e_function(p, c), a, b).root
+    pb = core.p_b_of_p_a(r, c)
+    return core.binary_entropy(r) + core.binary_entropy(pb), (r, pb)
+
+
+class TestUncheckedKernel:
+    """The H1 root solve iterates on core._e_value, the checked e_function
+    only at the bracket ends; results must be bit-identical to checking
+    every iterate."""
+
+    @staticmethod
+    def overlaps():
+        lo, cs = core.INV_SQRT2, solve.c_star().root
+        edges = [x for e in (lo, cs) for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0))]
+        return [lo + (cs - lo) * k / 2000 for k in range(2000)] + edges
+
+    def test_h1_solution_matches_checked_solve(self):
+        cs = self.overlaps()
+        assert len(cs) >= 2000
+        assert [solve._h1_solution(c) for c in cs] == [_h1_reference(c) for c in cs]
+
+    @pytest.mark.parametrize("c", [0.3, 0.6, core.INV_SQRT2, 0.75, 0.8, 0.9, 0.99])
+    def test_helpers_match_public_functions(self, c):
+        iv = core.admissible_interval(c)
+        for t in (1e-6, 0.01, 0.2, 0.5, 0.8, 0.99, 1.0 - 1e-6):
+            p = iv.lo + t * iv.width
+            assert core._p_b(p, c) == core.p_b_of_p_a(p, c)
+            assert core._e_value(p, c) == core.e_function(p, c)
+
+
 class TestBVs:
     def test_mu_region(self):
         rep = solve.b_vs(0.5)
