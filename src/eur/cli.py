@@ -39,16 +39,6 @@ _RANDOM_SAMPLES = 10_000
 _DEFAULT_SEED = 1234
 
 
-def __getattr__(name: str):
-    """`cli.oracle`, imported on first use: the oracles need numpy, which
-    only `verify` does, so its runners import `oracle` where they run."""
-    if name == "oracle":
-        from . import oracle
-
-        return oracle
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _setting(flag, name: str, kind: type, noun: str, default):
     """The flag if given, else environment variable `name` parsed by `kind`,
     else the default."""

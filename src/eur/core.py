@@ -271,7 +271,8 @@ def e_function(p_a: float, c: float, m: int = 1) -> float:
     antisymmetric under P_A -> P_B(P_A).  Zeros are the stationary points of
     the constrained minimization.
     """
-    if m < 1:
+    # m % 1 is nan for m = inf and nonzero for non-integral m; nan fails m >= 1
+    if not (m >= 1 and m % 1 == 0):
         raise DomainError(f"multiplicity must be a positive integer, got {m!r}")
     _require_interior(p_a, c)
     return _e_value(p_a, c, m)

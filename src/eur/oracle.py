@@ -24,9 +24,9 @@ Five checks, each attacking the closed-form results from a different side:
                          reciprocal lattice pairs), asserting neither beats
                          the piecewise bound.
 
-Grid and sampling loops deterministically partition their index space and
-merge partial minima with an associative, tie-broken rule, so results do not
-depend on the partition (chunk) size.
+The grid passes find the constrained minimum exactly, row by row, with no
+2-D table (_staircase_min).  Only the random-state oracle chunks its work,
+and its result does not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -123,7 +123,33 @@ def _h_min_vec(p: np.ndarray) -> np.ndarray:
     return out
 
 
-_GRID_CHUNK_ROWS = 512  # grid_min scans this many rows at a time; the result does not depend on it
+def _staircase_min(
+    ang_a: np.ndarray, h_a: np.ndarray, ang_b: np.ndarray, h_b: np.ndarray, theta: float
+) -> tuple[float, int, int]:
+    """(value, i, j) of the minimum of h_a[i] + h_b[j] subject to the float
+    test ang_a[i] + ang_b[j] >= theta, ties broken as by a row-major 2-D
+    argmin; (inf, 0, 0) if no pair is feasible.
+
+    ang_b must be non-increasing, with distinct values more than a few ulps
+    of theta apart.  Float addition is monotone, so the feasible j of row i
+    form a prefix j < count[i].
+    """
+    desc = -ang_b
+    count = np.searchsorted(desc, ang_a - theta, side="right")
+    # theta - ang_a is rounded: move each prefix end across at most one block
+    # of equal angles so that it agrees with the float sum test
+    nxt, prv = np.minimum(count, len(desc) - 1), np.maximum(count - 1, 0)
+    grow = (count < len(desc)) & (ang_a + ang_b[nxt] >= theta)
+    shrink = (count > 0) & (ang_a + ang_b[prv] < theta)
+    count = np.where(grow, np.searchsorted(desc, desc[nxt], side="right"), count)
+    count = np.where(shrink, np.searchsorted(desc, desc[prv], side="left"), count)
+    rows = np.where(count > 0, h_a + np.minimum.accumulate(h_b)[np.maximum(count - 1, 0)], np.inf)
+    i = int(np.argmin(rows))
+    if count[i] == 0:
+        return math.inf, 0, 0
+    sums = h_a[i] + h_b[: count[i]]  # the sums: ties after rounding go to the first j
+    j = int(np.argmin(sums))
+    return float(sums[j]), i, j
 
 
 def grid_min(c: float, points_per_axis: int = 2001) -> OracleReport:
@@ -132,8 +158,8 @@ def grid_min(c: float, points_per_axis: int = 2001) -> OracleReport:
 
     The grid is {i/n : i = 1..n}, so doubling points_per_axis yields a nested
     superset and its raw minimum (coarse_min) cannot increase.  One local
-    pass at 100x finer spacing around the coarse argmin (and its mirror)
-    sharpens the reported minimum.
+    pass at 100x finer spacing around the coarse argmin sharpens the
+    reported minimum (the window around its mirror is the transpose).
     """
     _check_overlap(c)
     if points_per_axis < 100:
@@ -143,29 +169,17 @@ def grid_min(c: float, points_per_axis: int = 2001) -> OracleReport:
     p = np.arange(1, n + 1) / n
     ang = np.arccos(np.sqrt(p))
     hm = _h_min_vec(p)
-
-    # (value, i, j) per chunk; tuple order breaks value ties by index
-    minima = []
-    for i0 in range(0, n, _GRID_CHUNK_ROWS):
-        i1 = min(i0 + _GRID_CHUNK_ROWS, n)
-        feas = ang[i0:i1, None] + ang[None, :] >= theta
-        tot = np.where(feas, hm[i0:i1, None] + hm[None, :], np.inf)
-        k = np.unravel_index(np.argmin(tot), tot.shape)
-        minima.append((float(tot[k]), i0 + int(k[0]), int(k[1])))
-    coarse_val, bi, bj = min(minima)
+    coarse_val, bi, bj = _staircase_min(ang, hm, ang, hm, theta)
     coarse_arg = (float(p[bi]), float(p[bj]))
 
-    fine_val, fine_arg = coarse_val, coarse_arg
     step = 1.0 / n
-    for center in (coarse_arg, (coarse_arg[1], coarse_arg[0])):
-        a = np.clip(np.linspace(center[0] - step, center[0] + step, 201), step / 200.0, 1.0)
-        b = np.clip(np.linspace(center[1] - step, center[1] + step, 201), step / 200.0, 1.0)
-        feas = (np.arccos(np.sqrt(a))[:, None] + np.arccos(np.sqrt(b))[None, :]) >= theta
-        tot = np.where(feas, _h_min_vec(a)[:, None] + _h_min_vec(b)[None, :], np.inf)
-        k = np.unravel_index(np.argmin(tot), tot.shape)
-        v = float(tot[k])
-        if v < fine_val:
-            fine_val, fine_arg = v, (float(a[k[0]]), float(b[k[1]]))
+    a, b = (np.clip(np.linspace(x - step, x + step, 201), step / 200.0, 1.0) for x in coarse_arg)
+    v, i, j = _staircase_min(
+        np.arccos(np.sqrt(a)), _h_min_vec(a), np.arccos(np.sqrt(b)), _h_min_vec(b), theta
+    )
+    fine_val, fine_arg = coarse_val, coarse_arg
+    if v < fine_val:
+        fine_val, fine_arg = v, (float(a[i]), float(b[j]))
 
     ref = b_vs(c).nats if c >= INV_SQRT2 else m_inf(c)
     return OracleReport(
@@ -412,7 +426,8 @@ def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
         )
 
     # (e) extremum character of the objective at the symmetric point
-    h_off = 1e-4
+    # (1+c)/2 lies at least w/4 from either end of the interval
+    h_off = min(1e-4, w / 4.0)
     v0 = m1_objective(mid, c)
     v_minus = m1_objective(mid - h_off, c)
     v_plus = m1_objective(mid + h_off, c)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from eur import cli, core, solve
+from eur import cli, core, oracle, solve
 from eur.errors import VerificationError
 
 LN2 = math.log(2.0)
@@ -242,11 +242,19 @@ class TestVerify:
         assert "INFO" in out
         assert out.splitlines()[-1] == "RESULT: 1 passed, 0 failed"  # INFO is not counted
 
+    @pytest.mark.parametrize("c", ["1e-4", "0.99985"])
+    def test_shape_suite_on_a_narrow_interval(self, capsys, c):
+        # the second-difference step of clause (e) must stay inside an
+        # admissible interval narrower than 2e-4
+        code, out, _ = run_cli(capsys, "verify", "--suite", "shape", "--c-list", c)
+        assert code == 0
+        assert out.startswith(f"PASS shape c={float(c):g} ")
+
     def test_shape_failure_is_reported_and_counted(self, capsys, monkeypatch):
         def boom(c, grid):
             raise VerificationError("boom")
 
-        monkeypatch.setattr(cli.oracle, "shape_check", boom)
+        monkeypatch.setattr(oracle, "shape_check", boom)
         code, out, _ = run_cli(capsys, "verify", "--suite", "shape", "--c-list", "0.5")
         assert code == 4
         lines = out.splitlines()
@@ -261,7 +269,7 @@ class TestVerify:
             calls.append((dim, samples, seed))
             raise VerificationError("boom")
 
-        monkeypatch.setattr(cli.oracle, "random_state_check", boom)
+        monkeypatch.setattr(oracle, "random_state_check", boom)
         code, out, _ = run_cli(capsys, "verify", "--suite", "random")
         assert code == 4
         assert out.splitlines() == [
@@ -282,7 +290,7 @@ class TestVerify:
 
     def test_all_suite_rejects_c_list_before_running(self, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli.oracle, "grid_min", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(oracle, "grid_min", lambda *a, **k: calls.append(a))
         # `all` includes the random suite, which draws its own overlaps
         code, out, err = run_cli(capsys, "verify", "--suite", "all", "--c-list", "0.8")
         assert code == 2

@@ -314,8 +314,16 @@ class TestEFunction:
             core.e_function(0.7, 0.6, m=2)
 
     def test_bad_multiplicity(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="multiplicity must be a positive integer"):
             core.e_function(0.7, 0.6, m=0)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf, 0.5, 1.5])
+    def test_non_integral_multiplicity(self, m):
+        with pytest.raises(DomainError, match="multiplicity must be a positive integer"):
+            core.e_function(0.75, 0.8, m=m)
+
+    def test_integral_multiplicity_accepted(self):
+        assert core.e_function(0.75, 0.8, m=1) == core.e_function(0.75, 0.8, m=1.0)
 
 
 class TestKFunction:

@@ -37,6 +37,71 @@ def reference_random_state_check(dim, samples, seed):
     return oracle.RandomStateSummary(dim, samples, seed, min_margin, arg_idx, arg_c)
 
 
+def reference_grid_min(c, points_per_axis):
+    """The dense scans that grid_min replaces: the coarse grid in chunks of
+    512 rows merged by (value, i, j), then the local window around the
+    coarse argmin and around its mirror."""
+    n = points_per_axis
+    theta = math.acos(c)
+    p = np.arange(1, n + 1) / n
+    ang = np.arccos(np.sqrt(p))
+    hm = oracle._h_min_vec(p)
+    minima = []
+    for i0 in range(0, n, 512):
+        i1 = min(i0 + 512, n)
+        feas = ang[i0:i1, None] + ang[None, :] >= theta
+        tot = np.where(feas, hm[i0:i1, None] + hm[None, :], np.inf)
+        k = np.unravel_index(np.argmin(tot), tot.shape)
+        minima.append((float(tot[k]), i0 + int(k[0]), int(k[1])))
+    coarse_val, bi, bj = min(minima)
+    coarse_arg = (float(p[bi]), float(p[bj]))
+    fine_val, fine_arg = coarse_val, coarse_arg
+    step = 1.0 / n
+    for center in (coarse_arg, (coarse_arg[1], coarse_arg[0])):
+        a = np.clip(np.linspace(center[0] - step, center[0] + step, 201), step / 200.0, 1.0)
+        b = np.clip(np.linspace(center[1] - step, center[1] + step, 201), step / 200.0, 1.0)
+        feas = (np.arccos(np.sqrt(a))[:, None] + np.arccos(np.sqrt(b))[None, :]) >= theta
+        tot = np.where(feas, oracle._h_min_vec(a)[:, None] + oracle._h_min_vec(b)[None, :], np.inf)
+        k = np.unravel_index(np.argmin(tot), tot.shape)
+        v = float(tot[k])
+        if v < fine_val:
+            fine_val, fine_arg = v, (float(a[k[0]]), float(b[k[1]]))
+    ref = oracle.b_vs(c).nats if c >= core.INV_SQRT2 else oracle.m_inf(c)
+    return oracle.OracleReport(
+        c=c,
+        oracle_min=fine_val,
+        analytic_ref=ref,
+        gap=fine_val - ref,
+        argmin=fine_arg,
+        resolution=f"{n}x{n} grid + 201x201 local refinement at step/100",
+        coarse_min=coarse_val,
+    )
+
+
+def dense_min(ang_a, h_a, ang_b, h_b, theta):
+    """Row-major argmin of the full constrained table."""
+    tot = np.where(ang_a[:, None] + ang_b[None, :] >= theta, h_a[:, None] + h_b[None, :], np.inf)
+    i, j = np.unravel_index(np.argmin(tot), tot.shape)
+    return float(tot[i, j]), int(i), int(j)
+
+
+_C_STAR = solve.c_star().root
+# overlaps where the region, the multiplicity or the float format changes
+_SPECIAL_OVERLAPS = [
+    1e-300,
+    1e-4,
+    math.nextafter(core.INV_SQRT2, 0.0),
+    core.INV_SQRT2,
+    math.nextafter(core.INV_SQRT2, 1.0),
+    math.nextafter(_C_STAR, 0.0),
+    _C_STAR,
+    math.nextafter(_C_STAR, 1.0),
+    0.9999,
+    math.nextafter(1.0, 0.0),
+    1.0,
+]
+
+
 class TestGridMin:
     def test_matches_analytic_small_grid(self):
         rep = oracle.grid_min(0.9, points_per_axis=501)
@@ -56,12 +121,15 @@ class TestGridMin:
         large = oracle.grid_min(c, points_per_axis=800)
         assert large.coarse_min <= small.coarse_min + 1e-12
 
-    def test_partition_independence(self, monkeypatch):
-        reports = []
-        for rows in (7, 64, 301, 10_000):
-            monkeypatch.setattr(oracle, "_GRID_CHUNK_ROWS", rows)
-            reports.append(oracle.grid_min(0.8, points_per_axis=301))
-        assert all(r == reports[0] for r in reports[1:])
+    @pytest.mark.parametrize("n", [100, 101, 301])
+    def test_equals_dense_scans(self, n):
+        overlaps = [k / 100 for k in range(1, 101)] + [0.645, 0.7, 0.707] + _SPECIAL_OVERLAPS
+        for c in overlaps:
+            assert oracle.grid_min(c, n) == reference_grid_min(c, n), c
+
+    def test_equals_dense_scans_default_grid(self):
+        for c in [0.3, 0.645, 0.7, 0.707, 0.8, 0.95] + _SPECIAL_OVERLAPS:
+            assert oracle.grid_min(c) == reference_grid_min(c, 2001), c
 
     def test_argmin_feasible(self):
         rep = oracle.grid_min(0.8, points_per_axis=301)
@@ -86,6 +154,59 @@ class TestGridMin:
         vec = oracle._h_min_vec(ps)
         for p, v in zip(ps, vec):
             assert v == pytest.approx(core.h_min(float(p)), abs=1e-12)
+
+
+class TestStaircaseMin:
+    def test_rounding_boundaries_and_repeated_values(self):
+        # theta within an ulp of a float sum of two angles puts rows on the
+        # edge, where theta - ang_a rounds to the wrong side; clipping and
+        # rounding repeat angles and h values
+        rng = np.random.default_rng(11)
+        grows = shrinks = 0
+        for _ in range(300):
+            ang_a = rng.uniform(0.0, 1.6, 40)
+            ang_b = np.sort(np.clip(rng.uniform(-0.2, 1.8, 30), 0.0, 1.6))[::-1]
+            h_a = np.round(rng.uniform(0.0, 2.0, 40), 1)
+            h_b = np.round(rng.uniform(0.0, 2.0, 30), 1)
+            edge = float(ang_a[rng.integers(40)] + ang_b[rng.integers(30)])
+            theta = math.nextafter(edge, [0.0, edge, 4.0][rng.integers(3)])
+            got = oracle._staircase_min(ang_a, h_a, ang_b, h_b, theta)
+            assert got == dense_min(ang_a, h_a, ang_b, h_b, theta)
+            exact = (ang_a[:, None] + ang_b[None, :] >= theta).sum(axis=1)
+            rounded = (ang_b[None, :] >= (theta - ang_a)[:, None]).sum(axis=1)
+            grows += int(np.any(exact > rounded))
+            shrinks += int(np.any(exact < rounded))
+        assert grows > 0 and shrinks > 0  # both corrections were needed
+
+    def test_repeated_angles_on_the_boundary(self):
+        # the block of equal angles 0.25 is feasible as a whole or not at all,
+        # including where theta - a rounds across it
+        ang_b = np.array([1.0, 0.25, 0.25, 0.25, 0.0])
+        h_b = np.array([3.0, 2.0, 1.0, 0.5, 0.0])
+        rounded_across = set()
+        for a in np.random.default_rng(3).uniform(0.05, 0.9, 400):
+            edge = float(a + 0.25)
+            for theta in (edge, math.nextafter(edge, 4.0)):
+                feasible = a + 0.25 >= theta
+                rounded_across.add((feasible, theta - a >= 0.25))
+                ang_a, h_a = np.array([a]), np.array([0.0])
+                expected = (0.5, 0, 3) if feasible else (3.0, 0, 0)
+                assert oracle._staircase_min(ang_a, h_a, ang_b, h_b, theta) == expected
+                assert dense_min(ang_a, h_a, ang_b, h_b, theta) == expected
+        assert {(True, False), (False, True)} <= rounded_across
+
+    def test_sums_tie_only_after_rounding(self):
+        # 1 + 2^-53 rounds to 1: the first j of the row wins, as in 2-D,
+        # though h_b alone is smaller at j = 1
+        ang = np.array([1.0, 0.5])
+        h_a, h_b = np.array([1.0, 1.0]), np.array([2.0**-53, 0.0])
+        assert oracle._staircase_min(ang, h_a, ang, h_b, 0.0) == (1.0, 0, 0)
+        assert dense_min(ang, h_a, ang, h_b, 0.0) == (1.0, 0, 0)
+
+    def test_no_feasible_pair(self):
+        ang, h = np.array([0.5, 0.2]), np.array([1.0, 2.0])
+        assert oracle._staircase_min(ang, h, ang, h, 1.5) == (math.inf, 0, 0)
+        assert dense_min(ang, h, ang, h, 1.5) == (math.inf, 0, 0)
 
 
 class TestQubitMin:

@@ -61,16 +61,6 @@ assert "numpy" not in sys.modules
     assert (tmp_path / "s.csv").read_text().count("\n") == 42
 
 
-def test_cli_oracle_resolves_before_verify(tmp_path):
-    # tests monkeypatch cli.oracle, so it must resolve before any verify runner imports it
-    code = """
-import eur
-from eur import cli
-assert cli.oracle is eur.oracle
-"""
-    _fresh_python(code, tmp_path)
-
-
 def test_star_import_binds_every_public_name(tmp_path):
     code = """
 namespace = {}
