@@ -300,6 +300,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise DomainError(
             f"the {self_drawn[0]} suite draws its own overlaps; --c-list does not apply"
         )
+    if args.seed < 0:
+        raise DomainError(f"--seed must be a non-negative integer, got {args.seed}")
     checks: list[Check] = []
     for suite in suites:
         run, c_list, tol, grid_n = _SUITES[suite]

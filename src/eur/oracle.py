@@ -32,6 +32,7 @@ and its result does not depend on the chunk size.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Union
@@ -267,9 +268,12 @@ def _draw_samples(rng: np.random.Generator, dim: int, k: int) -> tuple[np.ndarra
     Sample i reads one row of 2 dim^2 + 2 dim standard normals: the real and
     imaginary parts of a complex matrix, then those of a state.  The matrix
     is orthonormalized by QR (the columns of q[i] are the basis) with the
-    phase fix that makes q a deterministic function of the entries; the
-    state is normalized row by row with the 1-D norm, which a batched norm
-    does not match to the last bit.
+    phase fix that makes q a deterministic function of the entries.  The
+    states are normalized with one batched norm, computed as the 1-D
+    np.linalg.norm computes it for a complex vector: the dot product of the
+    real parts plus that of the imaginary parts.  vecdot runs the same BLAS
+    ddot on the same strided views, so each norm equals the 1-D norm bit for
+    bit (norm(axis=1) and a plain sum of squares do not).
     """
     n = dim * dim
     x = rng.standard_normal((k, 2 * n + 2 * dim))
@@ -278,7 +282,7 @@ def _draw_samples(rng: np.random.Generator, dim: int, k: int) -> tuple[np.ndarra
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (d / np.abs(d))[:, None, :]
     psi = x[:, 2 * n : 2 * n + dim] + 1j * x[:, 2 * n + dim :]
-    norms = np.fromiter(map(np.linalg.norm, psi), dtype=float, count=k)
+    norms = np.sqrt(np.vecdot(psi.real, psi.real) + np.vecdot(psi.imag, psi.imag))
     return q, psi / norms[:, None]
 
 
@@ -315,13 +319,16 @@ def random_state_check(dim: int, samples: int, seed: int) -> RandomStateSummary:
     lower bound could still be the minimum or a violation.  The screen is
     sound wherever the bound is monotone inside each knot cell; the result
     equals that of evaluating every sample exactly, one after another.
-    Deterministic for a fixed seed; raises VerificationError naming the
-    first violating sample.
+    The seed is a non-negative integer; for a fixed seed the result is
+    bit-reproducible on a given numpy/BLAS build.  Raises VerificationError
+    naming the first violating sample.
     """
     if dim < 2:
         raise DomainError(f"dim must be at least 2, got {dim!r}")
     if samples < 1:
         raise DomainError(f"samples must be positive, got {samples!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     knots, upper = _bound_cells(b_vs)
     best = (math.inf, -1, math.nan)  # (margin, index, c); ties go to the lower index

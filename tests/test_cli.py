@@ -298,6 +298,19 @@ class TestVerify:
         assert "the random suite draws its own overlaps" in err
         assert calls == []
 
+    @pytest.mark.parametrize("suite", ["random", "all"])
+    def test_negative_seed_exit_2_before_running(self, suite):
+        # a fresh process, so a traceback would show on stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "eur.cli", "verify", "--suite", suite, "--seed", "-5"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""  # `all` would print grid, qubit and shape lines first
+        assert "Traceback" not in proc.stderr
+        assert "--seed must be a non-negative integer, got -5" in proc.stderr
+
     def test_tight_tolerance_fails_exit_4(self, capsys):
         # grid resolution cannot meet 1e-9: surfaced as FAIL, not hidden
         code, out, _ = run_cli(

@@ -283,6 +283,18 @@ class TestRandomStateCheck:
             assert 1.0 / math.sqrt(dim) - 1e-12 <= c <= 1.0 + 1e-12
             assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("dim", range(2, 9))  # BLAS ddot: blocks of 4, then a tail
+    @pytest.mark.parametrize("k", [1, 127, 128])
+    def test_states_equal_per_row_norm(self, dim, k):
+        # the batched norm must equal the 1-D norm bit for bit; a numpy or
+        # BLAS change that splits the two fails here, not in drifted margins
+        _, states = oracle._draw_samples(np.random.default_rng(31), dim, k)
+        n = dim * dim
+        x = np.random.default_rng(31).standard_normal((k, 2 * n + 2 * dim))
+        raw = x[:, 2 * n : 2 * n + dim] + 1j * x[:, 2 * n + dim :]
+        expected = np.array([psi / np.linalg.norm(psi) for psi in raw])
+        assert (states == expected).all()
+
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     @pytest.mark.parametrize(
         "samples,seed", [(1, 1234), (255, 1234), (256, 3), (257, 3), (2001, 1234), (2001, 99)]
@@ -327,6 +339,9 @@ class TestRandomStateCheck:
             oracle.random_state_check(1, 10, 0)
         with pytest.raises(DomainError):
             oracle.random_state_check(2, 0, 0)
+        for seed in (-1, 1.5, None):
+            with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+                oracle.random_state_check(2, 10, seed)
 
 
 class TestShapeCheck:
