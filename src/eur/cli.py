@@ -302,14 +302,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     if args.seed < 0:
         raise DomainError(f"--seed must be a non-negative integer, got {args.seed}")
-    checks: list[Check] = []
+    # every setting is resolved and checked before the first suite runs
+    runs = []
     for suite in suites:
         run, c_list, tol, grid_n = _SUITES[suite]
         if tol is not None:
             tol = _setting(args.tol, "EUR_TOL", float, "a number", tol)
+            if not 0.0 <= tol < math.inf:
+                raise DomainError(f"tolerance must be finite and non-negative, got {tol!r}")
         if grid_n is not None:
             grid_n = _setting(args.grid, "EUR_GRID", int, "an integer", grid_n)
-        checks.extend(run(args.c_list or c_list, tol, grid_n, args.seed))
+        runs.append((run, args.c_list or c_list, tol, grid_n))
+    checks: list[Check] = []
+    for run, c_list, tol, grid_n in runs:
+        checks.extend(run(c_list, tol, grid_n, args.seed))
     for check in checks:
         print(check.line())
     n_pass = sum(check.passed is True for check in checks)

@@ -280,7 +280,8 @@ def e_function(p_a: float, c: float, m: int = 1) -> float:
 
 def _e_value(p_a: float, c: float, m: int = 1) -> float:
     # e_function without its checks, for p_a already known to be strictly
-    # inside the admissible interval (the H1 root solve iterates on it)
+    # inside the admissible interval (the H1 root solve and the shape oracle
+    # iterate on it)
     p_b = _p_b(p_a, c)
     term_b = m * math.sqrt(p_b * (1.0 - p_b)) * _log_ratio(p_b, 1.0 - m * p_b)
     term_a = math.sqrt(p_a * (1.0 - p_a)) * _log_ratio(p_a, 1.0 - p_a)
@@ -323,6 +324,12 @@ def k_function(p_a: float, c: float) -> float:
     and falls beyond it.
     """
     _require_interior(p_a, c)
+    return _k_value(p_a, c)
+
+
+def _k_value(p_a: float, c: float) -> float:
+    # k_function without its checks, for p_a already known to be strictly
+    # inside the admissible interval (the shape oracle samples it)
     p_b = _p_b(p_a, c)
     return (
         (1.0 - 2.0 * p_b) * _log_ratio(p_b, 1.0 - p_b)
@@ -372,6 +379,12 @@ def n_function(p_a: float, c: float) -> float:
     interval with its unique zero at P_A = (1+c)/2.
     """
     _require_interior(p_a, c)
+    return _n_value(p_a, c)
+
+
+def _n_value(p_a: float, c: float) -> float:
+    # n_function without its checks, for p_a already known to be strictly
+    # inside the admissible interval (the shape oracle samples it)
     p_b = _p_b(p_a, c)
     sa = math.sqrt(p_a * (1.0 - p_a))
     sb = math.sqrt(p_b * (1.0 - p_b))

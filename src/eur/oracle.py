@@ -27,6 +27,10 @@ Five checks, each attacking the closed-form results from a different side:
 The grid passes find the constrained minimum exactly, row by row, with no
 2-D table (_staircase_min).  Only the random-state oracle chunks its work,
 and its result does not depend on the chunk size.
+
+Only the grid, qubit and random-state oracles use numpy, and each imports it
+when called; shape_check and boundary_case_min are plain Python over the
+scalar core functions, so importing this module does not load numpy.
 """
 
 from __future__ import annotations
@@ -35,14 +39,15 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from .core import (
     INV_SQRT2,
     _check_overlap,
+    _e_value,
+    _k_value,
     _lattice_multiplicity,
+    _n_value,
     admissible_interval,
     b_mu,
     binary_entropy,
@@ -57,6 +62,9 @@ from .core import (
 )
 from .errors import DomainError, VerificationError
 from .solve import BoundReport, RegionTag, b_vs, c_star, classify_region
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "OracleReport",
@@ -103,6 +111,8 @@ class ShapeSummary:
 
 def _entropy_rows(p: np.ndarray) -> np.ndarray:
     """Row-wise Shannon entropy; probabilities below 1e-300 contribute 0."""
+    import numpy as np
+
     out = np.zeros_like(p)
     mask = p > 1e-300
     np.multiply(p, np.log(p, where=mask, out=np.zeros_like(p)), where=mask, out=out)
@@ -115,6 +125,8 @@ def _h_min_vec(p: np.ndarray) -> np.ndarray:
     Re-derives the multiplicity rule 1/(m+1) < p <= 1/m directly so the grid
     oracle does not lean on the scalar path it is meant to check.
     """
+    import numpy as np
+
     m = np.floor(1.0 / p)
     m = np.where(p * (m + 1.0) <= 1.0, m + 1.0, m)
     rem = np.clip(1.0 - m * p, 0.0, 1.0)
@@ -135,6 +147,8 @@ def _staircase_min(
     of theta apart.  Float addition is monotone, so the feasible j of row i
     form a prefix j < count[i].
     """
+    import numpy as np
+
     desc = -ang_b
     count = np.searchsorted(desc, ang_a - theta, side="right")
     # theta - ang_a is rounded: move each prefix end across at most one block
@@ -165,6 +179,8 @@ def grid_min(c: float, points_per_axis: int = 2001) -> OracleReport:
     _check_overlap(c)
     if points_per_axis < 100:
         raise DomainError("points_per_axis must be at least 100")
+    import numpy as np
+
     n = points_per_axis
     theta = math.acos(c)
     p = np.arange(1, n + 1) / n
@@ -211,6 +227,8 @@ def qubit_min(c: float) -> OracleReport:
     """
     if math.isnan(c) or not (INV_SQRT2 - 1e-12 <= c <= 1.0):
         raise DomainError(f"qubit_min requires 1/sqrt(2) <= c <= 1, got {c!r}")
+    import numpy as np
+
     theta = math.acos(min(c, 1.0))
     phi = np.linspace(0.0, math.pi, _QUBIT_COARSE_POINTS, endpoint=False)
     pa = np.cos(phi) ** 2
@@ -247,6 +265,8 @@ def qubit_min(c: float) -> OracleReport:
 
 
 def _binary_entropy_vec(p: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     out = np.zeros_like(p)
     mask = (p > 0.0) & (p < 1.0)
     q = np.where(mask, p, 0.5)
@@ -275,6 +295,8 @@ def _draw_samples(rng: np.random.Generator, dim: int, k: int) -> tuple[np.ndarra
     ddot on the same strided views, so each norm equals the 1-D norm bit for
     bit (norm(axis=1) and a plain sum of squares do not).
     """
+    import numpy as np
+
     n = dim * dim
     x = rng.standard_normal((k, 2 * n + 2 * dim))
     z = x[:, :n].reshape(k, dim, dim) + 1j * x[:, n : 2 * n].reshape(k, dim, dim)
@@ -297,6 +319,8 @@ def _bound_cells(bound: Callable[[float], BoundReport]) -> tuple[np.ndarray, np.
     direction.  Cell 0 gets +inf, since -2 ln c has no bound as c -> 0.
     Keyed on the function, so a replaced bound gets its own table.
     """
+    import numpy as np
+
     steps = np.arange(1, _BOUND_KNOTS + 1) / _BOUND_KNOTS
     knots = np.sort(np.append(steps, (INV_SQRT2, c_star().root)))
     values = np.array([bound(float(c)).nats for c in knots])
@@ -319,16 +343,19 @@ def random_state_check(dim: int, samples: int, seed: int) -> RandomStateSummary:
     lower bound could still be the minimum or a violation.  The screen is
     sound wherever the bound is monotone inside each knot cell; the result
     equals that of evaluating every sample exactly, one after another.
-    The seed is a non-negative integer; for a fixed seed the result is
-    bit-reproducible on a given numpy/BLAS build.  Raises VerificationError
-    naming the first violating sample.
+    dim (at least 2), samples (at least 1) and seed (non-negative) are
+    integers; for a fixed seed the result is bit-reproducible on a given
+    numpy/BLAS build.  Raises VerificationError naming the first violating
+    sample.
     """
-    if dim < 2:
-        raise DomainError(f"dim must be at least 2, got {dim!r}")
-    if samples < 1:
-        raise DomainError(f"samples must be positive, got {samples!r}")
+    if not isinstance(dim, numbers.Integral) or dim < 2:
+        raise DomainError(f"dim must be an integer of at least 2, got {dim!r}")
+    if not isinstance(samples, numbers.Integral) or samples < 1:
+        raise DomainError(f"samples must be a positive integer, got {samples!r}")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     knots, upper = _bound_cells(b_vs)
     best = (math.inf, -1, math.nan)  # (margin, index, c); ties go to the lower index
@@ -364,10 +391,24 @@ def random_state_check(dim: int, samples: int, seed: int) -> RandomStateSummary:
     )
 
 
-def _sign_changes(values: np.ndarray) -> int:
-    s = np.sign(values)
-    s = s[s != 0.0]
-    return int(np.sum(s[1:] * s[:-1] < 0.0))
+def _sign_changes(values: Sequence[float]) -> int:
+    """Sign changes between neighbors once zeros are dropped.  As with
+    np.sign, a nan is kept but is never part of a change."""
+    signs = [(v > 0.0) - (v < 0.0) for v in values if v != 0.0]
+    return sum(a * b < 0 for a, b in zip(signs, signs[1:]))
+
+
+def _scan(
+    checked: Callable[[float, float], float],
+    kernel: Callable[[float, float], float],
+    xs: list[float],
+    c: float,
+) -> list[float]:
+    """f(x, c) at every x of the increasing samples xs: the first and the
+    last through the checked function, which rejects any sample outside the
+    admissible interval, then the ones between through its unchecked kernel."""
+    first, last = checked(xs[0], c), checked(xs[-1], c)
+    return [first, *(kernel(x, c) for x in xs[1:-1]), last]
 
 
 def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
@@ -382,38 +423,40 @@ def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
     (e) the constrained objective has a maximum at (1+c)/2 below c_star and a
         minimum above, by second differences.
 
-    Raises VerificationError naming the violated clause and sample.
+    The samples lo + i w / grid, i = 1..grid-1, increase, so once the first
+    and the last pass n_function, k_function and e_function, every sample
+    lies strictly inside the admissible interval and the scans run on their
+    unchecked kernels (_scan).  Raises VerificationError naming the violated
+    clause and sample.
     """
-    if grid < 1000:
-        raise DomainError("grid must be at least 1000")
+    if not isinstance(grid, numbers.Integral) or grid < 1000:
+        raise DomainError(f"grid must be an integer of at least 1000, got {grid!r}")
     region = classify_region(c)
     iv = admissible_interval(c)
     lo, hi, w = iv.lo, iv.hi, iv.width
     mid = 0.5 * (1.0 + c)
-    xs = lo + np.arange(1, grid) * (w / grid)
+    step = w / grid
+    xs = [lo + i * step for i in range(1, grid)]
 
     # (a) slope control strictly decreasing, unique zero at the symmetric point
-    n_vals = np.array([n_function(float(x), c) for x in xs])
-    diffs = np.diff(n_vals)
-    if not np.all(diffs < 0.0):
-        k = int(np.argmax(diffs >= 0.0))
+    n_vals = _scan(n_function, _n_value, xs, c)
+    diffs = [b - a for a, b in zip(n_vals, n_vals[1:])]
+    if not all(d < 0.0 for d in diffs):
+        k = next((i for i, d in enumerate(diffs) if d >= 0.0), 0)  # as np.argmax
         raise VerificationError(f"clause (a): slope control not decreasing at p_a = {xs[k]}")
     if _sign_changes(n_vals) != 1:
         raise VerificationError(f"clause (a): expected one zero, got {_sign_changes(n_vals)}")
-    flip = int(np.argmax(n_vals < 0.0))
-    n_zero_at = float(xs[flip])
+    n_zero_at = xs[next(i for i, v in enumerate(n_vals) if v < 0.0)]
     if abs(n_zero_at - mid) > 2.0 * w / grid:
         raise VerificationError(f"clause (a): zero at {n_zero_at}, expected near {mid}")
 
     # (b) curvature function unimodal with peak at the symmetric point;
     #     the straddling pair is skipped (float-flat at a quadratic maximum)
-    k_vals = np.array([k_function(float(x), c) for x in xs])
-    left = xs[1:] < mid
-    right = xs[:-1] > mid
-    k_diffs = np.diff(k_vals)
-    if not np.all(k_diffs[left] > 0.0):
+    k_vals = _scan(k_function, _k_value, xs, c)
+    k_diffs = [b - a for a, b in zip(k_vals, k_vals[1:])]
+    if not all(d > 0.0 for x, d in zip(xs[1:], k_diffs) if x < mid):
         raise VerificationError("clause (b): curvature function not rising before the peak")
-    if not np.all(k_diffs[right] < 0.0):
+    if not all(d < 0.0 for x, d in zip(xs, k_diffs) if x > mid):
         raise VerificationError("clause (b): curvature function not falling after the peak")
 
     # (c) endpoint symmetry through the involution pairing; the 1e-4 inset
@@ -424,8 +467,7 @@ def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
         raise VerificationError(f"clause (c): endpoint values differ by {k_gap}")
 
     # (d) sign changes of the stationarity function, by region
-    e_vals = np.array([e_function(float(x), c) for x in xs])
-    e_count = _sign_changes(e_vals)
+    e_count = _sign_changes(_scan(e_function, _e_value, xs, c))
     expected = 3 if region.tag is RegionTag.H1 else 1
     if e_count != expected:
         raise VerificationError(

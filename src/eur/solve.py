@@ -307,13 +307,19 @@ def eqsin_residual(alpha: float, theta: float) -> float:
     P_A + P_B = 1 respectively) and are rejected as inputs, as are angles
     whose doubles 2a and 2(a-t) are not finite.
     """
-    d = alpha - theta
-    a2, d2 = 2.0 * alpha, 2.0 * d
-    if not (math.isfinite(a2) and math.isfinite(d2)):
+    if not (math.isfinite(2.0 * alpha) and math.isfinite(2.0 * (alpha - theta))):
         raise DomainError(f"angles out of range: alpha = {alpha!r}, theta = {theta!r}")
     for pt in _excluded_points(theta):
         if abs(alpha - pt) < 1e-12:
             raise DomainError(f"alpha = {alpha!r} is an excluded identical-zero point")
+    return _eqsin_value(alpha, theta)
+
+
+def _eqsin_value(alpha: float, theta: float) -> float:
+    # eqsin_residual without its checks, for finite angles outside the
+    # exclusion radius of the identical-zero points (the eqsin_roots scan)
+    d = alpha - theta
+    a2, d2 = 2.0 * alpha, 2.0 * d
     cos2a = math.cos(a2)
     cos2d = math.cos(d2)
     sin_d = math.sin(d)
@@ -330,12 +336,15 @@ def eqsin_roots(theta: float) -> list[float]:
     Scans at the fixed step _SCAN_STEP = 1e-4, refines each sign change with
     find_root, skips the identical-zero points and their 1e-6 neighborhoods,
     and merges refined roots closer than one step.  The scan window covers
-    one full period of the cos^2 parametrization.
+    one full period of the cos^2 parametrization.  Every scan angle is finite
+    and outside both neighborhoods, so the scan runs on the unchecked
+    _eqsin_value; the refinement, whose iterates can come near an excluded
+    point, goes through the checked eqsin_residual.
     """
     if not (0.0 < theta < 0.5 * math.pi):
         raise DomainError(f"theta must lie in (0, pi/2), got {theta!r}")
     lo, hi = -0.25 * math.pi, 0.5 * math.pi
-    excl = _excluded_points(theta)
+    e1, e2 = _excluded_points(theta)
 
     n = int((hi - lo) / _SCAN_STEP)
     roots: list[float] = []
@@ -344,12 +353,12 @@ def eqsin_roots(theta: float) -> list[float]:
         x = lo + k * _SCAN_STEP
         if x >= hi:
             break
-        if min(abs(x - e) for e in excl) <= _EXCLUSION_RADIUS:
+        if abs(x - e1) <= _EXCLUSION_RADIUS or abs(x - e2) <= _EXCLUSION_RADIUS:
             prev = None
             continue
         try:
-            v = eqsin_residual(x, theta)
-        except DomainError:
+            v = _eqsin_value(x, theta)
+        except SingularValueError:
             prev = None
             continue
         if v == 0.0:
@@ -365,7 +374,9 @@ def eqsin_roots(theta: float) -> list[float]:
                 roots.append(rr.root)
         prev = (x, v)
 
-    roots = [r for r in roots if min(abs(r - e) for e in excl) > _EXCLUSION_RADIUS]
+    roots = [
+        r for r in roots if abs(r - e1) > _EXCLUSION_RADIUS and abs(r - e2) > _EXCLUSION_RADIUS
+    ]
     roots.sort()
     deduped: list[float] = []
     for r in roots:

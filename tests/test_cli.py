@@ -311,6 +311,30 @@ class TestVerify:
         assert "Traceback" not in proc.stderr
         assert "--seed must be a non-negative integer, got -5" in proc.stderr
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-inf"])
+    @pytest.mark.parametrize("route", ["flag", "env"])
+    @pytest.mark.parametrize("suite", ["grid", "all"])
+    def test_bad_tolerance_exit_2_before_running(self, capsys, monkeypatch, tol, route, suite):
+        calls = []
+        monkeypatch.setattr(oracle, "grid_min", lambda *a, **k: calls.append(a))
+        if route == "env":
+            monkeypatch.setenv("EUR_TOL", tol)
+            argv = ["verify", "--suite", suite]
+        else:
+            monkeypatch.delenv("EUR_TOL", raising=False)
+            argv = ["verify", "--suite", suite, f"--tol={tol}"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert calls == []
+        assert err == f"error: tolerance must be finite and non-negative, got {float(tol)!r}\n"
+
+    def test_zero_tolerance_is_accepted(self, capsys):
+        # the qubit gap at c = 1 is exactly 0
+        code, out, _ = run_cli(capsys, "verify", "--suite", "qubit", "--c-list", "1", "--tol", "0")
+        assert code == 0
+        assert out.startswith("PASS qubit c=1 |oracle-analytic| = 0.000e+00 (tol 0)")
+
     def test_tight_tolerance_fails_exit_4(self, capsys):
         # grid resolution cannot meet 1e-9: surfaced as FAIL, not hidden
         code, out, _ = run_cli(

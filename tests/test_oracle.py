@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eur import core, oracle, solve
-from eur.errors import DomainError, VerificationError
+from eur.errors import DomainError, EurError, VerificationError
 
 
 def reference_random_state_check(dim, samples, seed):
@@ -83,6 +83,76 @@ def dense_min(ang_a, h_a, ang_b, h_b, theta):
     tot = np.where(ang_a[:, None] + ang_b[None, :] >= theta, h_a[:, None] + h_b[None, :], np.inf)
     i, j = np.unravel_index(np.argmin(tot), tot.shape)
     return float(tot[i, j]), int(i), int(j)
+
+
+def reference_sign_changes(values):
+    s = np.sign(values)
+    s = s[s != 0.0]
+    return int(np.sum(s[1:] * s[:-1] < 0.0))
+
+
+def reference_shape_check(c, grid=10_000):
+    """The numpy shape_check that the plain-Python one replaces: every sample
+    through the checked n_function, k_function and e_function."""
+    region = oracle.classify_region(c)
+    iv = core.admissible_interval(c)
+    lo, w = iv.lo, iv.width
+    mid = 0.5 * (1.0 + c)
+    xs = lo + np.arange(1, grid) * (w / grid)
+
+    n_vals = np.array([core.n_function(float(x), c) for x in xs])
+    diffs = np.diff(n_vals)
+    if not np.all(diffs < 0.0):
+        k = int(np.argmax(diffs >= 0.0))
+        raise VerificationError(f"clause (a): slope control not decreasing at p_a = {xs[k]}")
+    if reference_sign_changes(n_vals) != 1:
+        raise VerificationError(
+            f"clause (a): expected one zero, got {reference_sign_changes(n_vals)}"
+        )
+    n_zero_at = float(xs[int(np.argmax(n_vals < 0.0))])
+    if abs(n_zero_at - mid) > 2.0 * w / grid:
+        raise VerificationError(f"clause (a): zero at {n_zero_at}, expected near {mid}")
+
+    k_vals = np.array([core.k_function(float(x), c) for x in xs])
+    k_diffs = np.diff(k_vals)
+    if not np.all(k_diffs[xs[1:] < mid] > 0.0):
+        raise VerificationError("clause (b): curvature function not rising before the peak")
+    if not np.all(k_diffs[xs[:-1] > mid] < 0.0):
+        raise VerificationError("clause (b): curvature function not falling after the peak")
+
+    x_in = lo + 1e-4 * w
+    k_gap = abs(core.k_function(x_in, c) - core.k_function(core.p_b_of_p_a(x_in, c), c))
+    if k_gap > 1e-8:
+        raise VerificationError(f"clause (c): endpoint values differ by {k_gap}")
+
+    e_count = reference_sign_changes(np.array([core.e_function(float(x), c) for x in xs]))
+    expected = 3 if region.tag is solve.RegionTag.H1 else 1
+    if e_count != expected:
+        raise VerificationError(
+            f"clause (d): {e_count} sign changes at c = {c}, expected {expected}"
+        )
+
+    h_off = min(1e-4, w / 4.0)
+    v0 = core.m1_objective(mid, c)
+    v_minus = core.m1_objective(mid - h_off, c)
+    v_plus = core.m1_objective(mid + h_off, c)
+    if c < region.c_star:
+        if not (v_minus < v0 and v_plus < v0):
+            raise VerificationError(f"clause (e): expected a maximum at (1+c)/2 for c = {c}")
+        extremum = "maximum"
+    else:
+        if not (v_minus > v0 and v_plus > v0):
+            raise VerificationError(f"clause (e): expected a minimum at (1+c)/2 for c = {c}")
+        extremum = "minimum"
+    return oracle.ShapeSummary(c, str(region.tag), e_count, n_zero_at, k_gap, extremum)
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of the EurError it raises."""
+    try:
+        return f(*args)
+    except EurError as exc:
+        return type(exc), str(exc)
 
 
 _C_STAR = solve.c_star().root
@@ -343,6 +413,22 @@ class TestRandomStateCheck:
             with pytest.raises(DomainError, match="seed must be a non-negative integer"):
                 oracle.random_state_check(2, 10, seed)
 
+    @pytest.mark.parametrize(
+        "dim,samples,match",
+        [
+            (2.0, 10, "dim must be an integer"),
+            (math.nan, 10, "dim must be an integer"),
+            (math.inf, 10, "dim must be an integer"),
+            (2, 10.5, "samples must be a positive integer"),
+            (2, 10.0, "samples must be a positive integer"),
+            (2, math.nan, "samples must be a positive integer"),
+            (2, math.inf, "samples must be a positive integer"),
+        ],
+    )
+    def test_non_integral_dim_or_samples(self, dim, samples, match):
+        with pytest.raises(DomainError, match=match):
+            oracle.random_state_check(dim, samples, 0)
+
 
 class TestShapeCheck:
     @pytest.mark.parametrize(
@@ -357,8 +443,45 @@ class TestShapeCheck:
         assert summary.n_zero_at == pytest.approx(0.5 * (1.0 + c), abs=1e-3)
 
     def test_small_grid_rejected(self):
-        with pytest.raises(DomainError):
-            oracle.shape_check(0.5, grid=100)
+        for grid in (100, 999, 1000.0, 10_000.5, math.nan):
+            with pytest.raises(DomainError, match="grid must be an integer of at least 1000"):
+                oracle.shape_check(0.5, grid=grid)
+
+    # 50 overlaps over (0, 1], the known-fail windows and the ends of the domain
+    @pytest.mark.parametrize(
+        "c",
+        [k / 50 for k in range(1, 51)]
+        + [1e-5, 1e-4, 0.7072, 0.71, 0.72, 0.9995, 0.9999, 1e-12, 1e-13, 1.0 - 1e-12]
+        + [core.INV_SQRT2, math.nextafter(core.INV_SQRT2, 1.0), _C_STAR, 0.0, math.nan],
+    )
+    def test_equals_numpy_reference(self, c):
+        # the same summary, or the same error and message, as the numpy scan
+        # that checks every sample
+        assert outcome(oracle.shape_check, c) == outcome(reference_shape_check, c)
+
+    @pytest.mark.parametrize("grid", [1000, 1001, 4096])
+    def test_equals_numpy_reference_other_grids(self, grid):
+        for c in (0.3, 0.75, 0.9):
+            assert outcome(oracle.shape_check, c, grid) == outcome(reference_shape_check, c, grid)
+
+    def test_sign_changes_like_np_sign(self):
+        nan, inf = math.nan, math.inf
+        cases = [
+            ([1.0, -1.0], 1),
+            ([1.0, 0.0, -0.0, -1.0], 1),
+            ([1.0, nan, -1.0], 0),  # a nan is kept, but never part of a change
+            ([1.0, nan, 2.0, -1.0], 1),
+            ([nan, nan], 0),
+            ([1e-200, -1e-200], 1),  # the product of the values would underflow
+            ([-inf, inf, 5e-324], 1),
+            ([], 0),
+        ]
+        for values, count in cases:
+            assert oracle._sign_changes(values) == count == reference_sign_changes(values)
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            values = rng.choice([-2.0, -1e-300, -0.0, 0.0, 1e-300, 3.0, nan, inf, -inf], 12)
+            assert oracle._sign_changes(values.tolist()) == reference_sign_changes(values)
 
 
 class TestBoundaryCaseMin:

@@ -52,9 +52,11 @@ argvs = [
     ["constants"],
     ["critique", "--c", "0.6"],
     ["sweep", "--from", "0.5", "--to", "0.9", "--step", "0.01", "--out", {str(tmp_path / "s.csv")!r}],
+    ["verify", "--suite", "shape", "--c-list", "0.5"],
+    ["verify", "--suite", "critique", "--c-list", "0.3"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
-    assert [cli.main(argv) for argv in argvs] == [0, 0, 0, 0]
+    assert [cli.main(argv) for argv in argvs] == [0] * len(argvs)
 assert "numpy" not in sys.modules
 """
     _fresh_python(code, tmp_path)

@@ -193,6 +193,8 @@ class TestUncheckedKernel:
             p = iv.lo + t * iv.width
             assert core._p_b(p, c) == core.p_b_of_p_a(p, c)
             assert core._e_value(p, c) == core.e_function(p, c)
+            assert core._n_value(p, c) == core.n_function(p, c)
+            assert core._k_value(p, c) == core.k_function(p, c)
 
 
 class TestBVs:
@@ -343,7 +345,59 @@ class TestEqsinResidual:
             solve.eqsin_residual(alpha, theta)
 
 
+def reference_eqsin_roots(theta):
+    """The eqsin_roots scan with every sample through the checked
+    eqsin_residual, which rejects the identical-zero points itself."""
+    lo, hi = -0.25 * math.pi, 0.5 * math.pi
+    excl = (0.5 * theta, 0.5 * theta + 0.25 * math.pi)
+    roots, prev = [], None
+    for k in range(1, int((hi - lo) / solve._SCAN_STEP) + 1):
+        x = lo + k * solve._SCAN_STEP
+        if x >= hi:
+            break
+        if min(abs(x - e) for e in excl) <= 1e-6:
+            prev = None
+            continue
+        try:
+            v = solve.eqsin_residual(x, theta)
+        except DomainError:
+            prev = None
+            continue
+        if v == 0.0:
+            roots.append(x)
+            prev = None
+            continue
+        if prev is not None and math.copysign(1.0, prev[1]) != math.copysign(1.0, v):
+            try:
+                rr = solve.find_root(
+                    lambda a: solve.eqsin_residual(a, theta), prev[0], x, abs_tol=1e-12
+                )
+            except DomainError:
+                pass
+            else:
+                roots.append(rr.root)
+        prev = (x, v)
+    deduped = []
+    for r in sorted(r for r in roots if min(abs(r - e) for e in excl) > 1e-6):
+        if not deduped or r - deduped[-1] >= solve._SCAN_STEP:
+            deduped.append(r)
+    return deduped
+
+
 class TestEqsinRoots:
+    # near 0 and pi/2, overlaps on both sides of 1/sqrt(2), every pi/32, and
+    # two angles that put a scan point on theta/2 and on theta/2 + pi/4
+    @pytest.mark.parametrize(
+        "theta",
+        [1e-9, 1e-6, 1e-3, 0.5 * math.pi - 1e-3, 0.5 * math.pi - 1e-6]
+        + [math.nextafter(0.5 * math.pi, 0.0)]
+        + [math.acos(c) for c in (0.1, 0.3, 0.5, 0.6, 0.7, 0.7071, 0.8, 0.99)]
+        + [k * math.pi / 32 for k in range(1, 16)]
+        + [2.0 * (-0.25 * math.pi + 10_000 * 1e-4), 2.0 * (-0.5 * math.pi + 20_000 * 1e-4)],
+    )
+    def test_equals_checked_scan(self, theta):
+        assert solve.eqsin_roots(theta) == reference_eqsin_roots(theta)
+
     @pytest.mark.parametrize("c", [0.3, 0.5, 0.6])
     def test_roots_contract(self, c):
         theta = math.acos(c)
