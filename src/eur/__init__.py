@@ -4,10 +4,10 @@ Closed-form bound evaluators (core), transcendental-equation solvers and the
 piecewise bound (solve), brute-force verification oracles (oracle), and a CLI
 (cli).  All entropies are in nats.
 
-Only the grid, qubit and random-state oracles use numpy, and they import it
-when called.  `eur.oracle`, its names and `__all__` are loaded on first
-access, so importing `eur` loads neither; `eval`, `constants`, `sweep`,
-`critique` and `verify --suite shape|critique` never import numpy.
+Only the random-state oracle uses numpy, and it imports numpy when called.
+`eur.oracle`, its names and `__all__` are loaded on first access, so
+importing `eur` loads neither; every command but `verify --suite random|all`
+runs without importing numpy.
 """
 
 import importlib

@@ -329,13 +329,16 @@ def k_function(p_a: float, c: float) -> float:
 
 def _k_value(p_a: float, c: float) -> float:
     # k_function without its checks, for p_a already known to be strictly
-    # inside the admissible interval (the shape oracle samples it)
+    # inside the admissible interval
+    return _k_log_terms(p_a, c) + 4.0
+
+
+def _k_log_terms(p_a: float, c: float) -> float:
+    # the two log terms of K, without the constant 4: near the flat peak of
+    # K they resolve steps below ulp(4) (the shape oracle samples them)
     p_b = _p_b(p_a, c)
-    return (
-        (1.0 - 2.0 * p_b) * _log_ratio(p_b, 1.0 - p_b)
-        + (1.0 - 2.0 * p_a) * _log_ratio(p_a, 1.0 - p_a)
-        + 4.0
-    )
+    term_b = (1.0 - 2.0 * p_b) * _log_ratio(p_b, 1.0 - p_b)
+    return term_b + (1.0 - 2.0 * p_a) * _log_ratio(p_a, 1.0 - p_a)
 
 
 def k_max_value(c: float) -> float:

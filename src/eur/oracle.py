@@ -25,18 +25,17 @@ Five checks, each attacking the closed-form results from a different side:
                          the piecewise bound.
 
 The grid passes find the constrained minimum exactly, row by row, with no
-2-D table (_staircase_min).  Only the random-state oracle chunks its work,
-and its result does not depend on the chunk size.
-
-Only the grid, qubit and random-state oracles use numpy, and each imports it
-when called; shape_check and boundary_case_min are plain Python over the
-scalar core functions, so importing this module does not load numpy.
+2-D table (_constrained_min).  Only random_state_check uses numpy, which it
+imports when called, and chunks its work; its result does not depend on the
+chunk size.  The other oracles are plain Python over floats, so importing
+this module or running them does not load numpy.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
@@ -45,7 +44,7 @@ from .core import (
     INV_SQRT2,
     _check_overlap,
     _e_value,
-    _k_value,
+    _k_log_terms,
     _lattice_multiplicity,
     _n_value,
     admissible_interval,
@@ -119,93 +118,100 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
     return -out.sum(axis=-1)
 
 
-def _h_min_vec(p: np.ndarray) -> np.ndarray:
-    """Vectorized least entropy at fixed maximum probability.
+def _h_min(p: float) -> float:
+    """Least entropy at fixed maximum probability p in (0, 1].
 
     Re-derives the multiplicity rule 1/(m+1) < p <= 1/m directly so the grid
     oracle does not lean on the scalar path it is meant to check.
     """
-    import numpy as np
-
-    m = np.floor(1.0 / p)
-    m = np.where(p * (m + 1.0) <= 1.0, m + 1.0, m)
-    rem = np.clip(1.0 - m * p, 0.0, 1.0)
-    out = -m * p * np.log(p)
-    mask = rem > 1e-300
-    out -= np.where(mask, rem * np.log(np.where(mask, rem, 1.0)), 0.0)
-    return out
+    m = math.floor(1.0 / p)
+    if p * (m + 1) <= 1.0:
+        m += 1
+    rem = max(1.0 - m * p, 0.0)
+    out = -m * p * math.log(p)
+    return out - rem * math.log(rem) if rem > 1e-300 else out
 
 
-def _staircase_min(
-    ang_a: np.ndarray, h_a: np.ndarray, ang_b: np.ndarray, h_b: np.ndarray, theta: float
+def _constrained_min(
+    ang_a: list[float], h_a: list[float], ang_b: list[float], h_b: list[float], theta: float
 ) -> tuple[float, int, int]:
     """(value, i, j) of the minimum of h_a[i] + h_b[j] subject to the float
     test ang_a[i] + ang_b[j] >= theta, ties broken as by a row-major 2-D
     argmin; (inf, 0, 0) if no pair is feasible.
 
-    ang_b must be non-increasing, with distinct values more than a few ulps
+    ang_b must be non-decreasing, with distinct values more than a few ulps
     of theta apart.  Float addition is monotone, so the feasible j of row i
-    form a prefix j < count[i].
+    form a suffix j >= start, and the row minimum is h_a[i] plus the suffix
+    minimum of h_b.
     """
-    import numpy as np
-
-    desc = -ang_b
-    count = np.searchsorted(desc, ang_a - theta, side="right")
-    # theta - ang_a is rounded: move each prefix end across at most one block
-    # of equal angles so that it agrees with the float sum test
-    nxt, prv = np.minimum(count, len(desc) - 1), np.maximum(count - 1, 0)
-    grow = (count < len(desc)) & (ang_a + ang_b[nxt] >= theta)
-    shrink = (count > 0) & (ang_a + ang_b[prv] < theta)
-    count = np.where(grow, np.searchsorted(desc, desc[nxt], side="right"), count)
-    count = np.where(shrink, np.searchsorted(desc, desc[prv], side="left"), count)
-    rows = np.where(count > 0, h_a + np.minimum.accumulate(h_b)[np.maximum(count - 1, 0)], np.inf)
-    i = int(np.argmin(rows))
-    if count[i] == 0:
+    n = len(ang_b)
+    suffix = list(h_b)  # suffix[j] = min(h_b[j:])
+    for j in range(n - 2, -1, -1):
+        suffix[j] = min(suffix[j], suffix[j + 1])
+    best, bi, bs = math.inf, 0, n
+    for i, (a, h) in enumerate(zip(ang_a, h_a)):
+        s = bisect_left(ang_b, theta - a)
+        # theta - a is rounded: move the start across at most one block of
+        # equal angles so that it agrees with the float sum test
+        if s > 0 and a + ang_b[s - 1] >= theta:
+            s = bisect_left(ang_b, ang_b[s - 1])
+        elif s < n and a + ang_b[s] < theta:
+            s = bisect_right(ang_b, ang_b[s])
+        if s < n and h + suffix[s] < best:
+            best, bi, bs = h + suffix[s], i, s
+    if bs == n:
         return math.inf, 0, 0
-    sums = h_a[i] + h_b[: count[i]]  # the sums: ties after rounding go to the first j
-    j = int(np.argmin(sums))
-    return float(sums[j]), i, j
+    # the sums: ties after rounding go to the first j
+    j = next(j for j in range(bs, n) if h_a[bi] + h_b[j] == best)
+    return best, bi, j
+
+
+_HALF_PI = 0.5 * math.pi
 
 
 def grid_min(c: float, points_per_axis: int = 2001) -> OracleReport:
     """Minimum of h_min(P_A) + h_min(P_B) over a grid on (0, 1]^2 restricted
-    to arccos(sqrt(P_A)) + arccos(sqrt(P_B)) >= arccos(c).
+    to alpha_A + alpha_B >= arccos(c), where P = cos^2(alpha).
 
-    The grid is {i/n : i = 1..n}, so doubling points_per_axis yields a nested
-    superset and its raw minimum (coarse_min) cannot increase.  One local
-    pass at 100x finer spacing around the coarse argmin sharpens the
-    reported minimum (the window around its mirror is the transpose).
+    The grid is uniform in angle, alpha_i = i (pi/2) / n for i = 0..n-1
+    (P from 1 down to sin^2(pi/2n)), so it resolves the minimizer where
+    P_B -> 1 as well as anywhere else.  For even i the angle i (pi/2) / 2n
+    equals the angle of i/2 on the n grid bit for bit, so doubling
+    points_per_axis yields a nested superset and its raw minimum
+    (coarse_min) cannot increase.  One local pass of 201 angles per axis at
+    step/100, centred on the coarse argmin, sharpens the reported minimum
+    (the window around its mirror is the transpose).  points_per_axis is an
+    integer of at least 100.
     """
     _check_overlap(c)
-    if points_per_axis < 100:
-        raise DomainError("points_per_axis must be at least 100")
-    import numpy as np
-
+    if not isinstance(points_per_axis, numbers.Integral) or points_per_axis < 100:
+        raise DomainError(
+            f"points_per_axis must be an integer of at least 100, got {points_per_axis!r}"
+        )
     n = points_per_axis
     theta = math.acos(c)
-    p = np.arange(1, n + 1) / n
-    ang = np.arccos(np.sqrt(p))
-    hm = _h_min_vec(p)
-    coarse_val, bi, bj = _staircase_min(ang, hm, ang, hm, theta)
-    coarse_arg = (float(p[bi]), float(p[bj]))
+    ang = [i * _HALF_PI / n for i in range(n)]
+    h = [_h_min(math.cos(a) ** 2) for a in ang]
+    coarse_val, bi, bj = _constrained_min(ang, h, ang, h, theta)
 
-    step = 1.0 / n
-    a, b = (np.clip(np.linspace(x - step, x + step, 201), step / 200.0, 1.0) for x in coarse_arg)
-    v, i, j = _staircase_min(
-        np.arccos(np.sqrt(a)), _h_min_vec(a), np.arccos(np.sqrt(b)), _h_min_vec(b), theta
+    # the windows hold the coarse pair, so the local minimum is at most coarse_val
+    step = _HALF_PI / n
+    ang_a, ang_b = (
+        [min(max(x + (k - 100) * step / 100.0, 0.0), _HALF_PI) for k in range(201)]
+        for x in (ang[bi], ang[bj])
     )
-    fine_val, fine_arg = coarse_val, coarse_arg
-    if v < fine_val:
-        fine_val, fine_arg = v, (float(a[i]), float(b[j]))
+    p_a, p_b = ([math.cos(a) ** 2 for a in w] for w in (ang_a, ang_b))
+    h_a, h_b = ([_h_min(p) for p in ps] for ps in (p_a, p_b))
+    val, i, j = _constrained_min(ang_a, h_a, ang_b, h_b, theta)
 
     ref = b_vs(c).nats if c >= INV_SQRT2 else m_inf(c)
     return OracleReport(
         c=c,
-        oracle_min=fine_val,
+        oracle_min=val,
         analytic_ref=ref,
-        gap=fine_val - ref,
-        argmin=fine_arg,
-        resolution=f"{n}x{n} grid + 201x201 local refinement at step/100",
+        gap=val - ref,
+        argmin=(p_a[i], p_b[j]),
+        resolution=f"{n}x{n} grid uniform in angle + 201x201 local refinement at step/100",
         coarse_min=coarse_val,
     )
 
@@ -214,30 +220,23 @@ def _qubit_objective(phi: float, theta: float) -> float:
     return binary_entropy(math.cos(phi) ** 2) + binary_entropy(math.cos(theta - phi) ** 2)
 
 
-_QUBIT_COARSE_POINTS = 100_000
-
-
 def qubit_min(c: float) -> OracleReport:
     """Exact minimum entropy sum over two-dimensional pure states.
 
     The state (cos phi, sin phi) in the first eigenbasis yields outcome
-    maxima cos^2(phi) and cos^2(theta - phi); a coarse sweep of phi over
-    [0, pi) is refined by golden-section search to 1e-10 in phi.  Dimension
-    two forces c >= 1/sqrt(2).
+    probabilities cos^2(phi) and cos^2(theta - phi).  Turning the state by
+    pi/2 swaps cos and sin, which leaves both binary entropies unchanged, so
+    a 500-point scan of phi over [0, pi/2) sees every state; its best point
+    is refined by golden-section search to 1e-10 in phi, within one scan
+    step either side.  Dimension two forces c >= 1/sqrt(2).
     """
     if math.isnan(c) or not (INV_SQRT2 - 1e-12 <= c <= 1.0):
         raise DomainError(f"qubit_min requires 1/sqrt(2) <= c <= 1, got {c!r}")
-    import numpy as np
-
-    theta = math.acos(min(c, 1.0))
-    phi = np.linspace(0.0, math.pi, _QUBIT_COARSE_POINTS, endpoint=False)
-    pa = np.cos(phi) ** 2
-    pb = np.cos(theta - phi) ** 2
-    tot = _binary_entropy_vec(pa) + _binary_entropy_vec(pb)
-    j = int(np.argmin(tot))
-    step = math.pi / _QUBIT_COARSE_POINTS
-    a = float(phi[j]) - step
-    b = float(phi[j]) + step
+    theta = math.acos(c)
+    step = _HALF_PI / 500
+    scan = [_qubit_objective(k * step, theta) for k in range(500)]
+    k = scan.index(min(scan))
+    a, b = (k - 1) * step, (k + 1) * step
 
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     x1, x2 = b - gr * (b - a), a + gr * (b - a)
@@ -253,6 +252,8 @@ def qubit_min(c: float) -> OracleReport:
             f2 = _qubit_objective(x2, theta)
     phi_min = 0.5 * (a + b)
     val = _qubit_objective(phi_min, theta)
+    if scan[k] < val:  # ties drift the search to the edge of a float-flat bottom
+        phi_min, val = k * step, scan[k]
     ref = b_vs(c).nats
     return OracleReport(
         c=c,
@@ -260,18 +261,8 @@ def qubit_min(c: float) -> OracleReport:
         analytic_ref=ref,
         gap=val - ref,
         argmin=phi_min,
-        resolution=f"{_QUBIT_COARSE_POINTS}-point sweep + golden section to 1e-10",
+        resolution="500-point scan of [0, pi/2) + golden section to 1e-10",
     )
-
-
-def _binary_entropy_vec(p: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    out = np.zeros_like(p)
-    mask = (p > 0.0) & (p < 1.0)
-    q = np.where(mask, p, 0.5)
-    out[mask] = (-q * np.log(q) - (1.0 - q) * np.log1p(-q))[mask]
-    return out
 
 
 # random_state_check works on chunks of samples: past about 128 a larger chunk
@@ -404,11 +395,12 @@ def _scan(
     xs: list[float],
     c: float,
 ) -> list[float]:
-    """f(x, c) at every x of the increasing samples xs: the first and the
-    last through the checked function, which rejects any sample outside the
-    admissible interval, then the ones between through its unchecked kernel."""
-    first, last = checked(xs[0], c), checked(xs[-1], c)
-    return [first, *(kernel(x, c) for x in xs[1:-1]), last]
+    """kernel(x, c) at every x of the increasing samples xs, once the checked
+    function has accepted the first and the last: it rejects any sample
+    outside the admissible interval, so every sample lies strictly inside."""
+    checked(xs[0], c)
+    checked(xs[-1], c)
+    return [kernel(x, c) for x in xs]
 
 
 def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
@@ -451,8 +443,10 @@ def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
         raise VerificationError(f"clause (a): zero at {n_zero_at}, expected near {mid}")
 
     # (b) curvature function unimodal with peak at the symmetric point;
-    #     the straddling pair is skipped (float-flat at a quadratic maximum)
-    k_vals = _scan(k_function, _k_value, xs, c)
+    #     the straddling pair is skipped (float-flat at a quadratic maximum).
+    #     K - 4 is scanned: near the flat peak neighbouring values of K differ
+    #     by less than ulp(4) and would round to equal
+    k_vals = _scan(k_function, _k_log_terms, xs, c)
     k_diffs = [b - a for a, b in zip(k_vals, k_vals[1:])]
     if not all(d > 0.0 for x, d in zip(xs[1:], k_diffs) if x < mid):
         raise VerificationError("clause (b): curvature function not rising before the peak")

@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 
-from eur import core, oracle, solve
+from eur import cli, core, oracle, solve
 from eur.errors import DomainError, EurError, VerificationError
 
 
@@ -37,35 +38,37 @@ def reference_random_state_check(dim, samples, seed):
     return oracle.RandomStateSummary(dim, samples, seed, min_margin, arg_idx, arg_c)
 
 
+def dense_min(ang_a, h_a, ang_b, h_b, theta):
+    """Row-major argmin of the full constrained table, built row by row."""
+    best = (math.inf, 0, 0)
+    for i, (a, ha) in enumerate(zip(ang_a, h_a)):
+        row = [ha + hb if a + b >= theta else math.inf for b, hb in zip(ang_b, h_b)]
+        v = min(row)
+        if v < best[0]:
+            best = (v, i, row.index(v))
+    return best
+
+
 def reference_grid_min(c, points_per_axis):
-    """The dense scans that grid_min replaces: the coarse grid in chunks of
-    512 rows merged by (value, i, j), then the local window around the
-    coarse argmin and around its mirror."""
+    """grid_min by dense scans on the same angle grid: the full n x n table,
+    then the full 201 x 201 table around the coarse argmin.  The table
+    around its mirror is the transpose (float + commutes), so it is not
+    scanned."""
     n = points_per_axis
     theta = math.acos(c)
-    p = np.arange(1, n + 1) / n
-    ang = np.arccos(np.sqrt(p))
-    hm = oracle._h_min_vec(p)
-    minima = []
-    for i0 in range(0, n, 512):
-        i1 = min(i0 + 512, n)
-        feas = ang[i0:i1, None] + ang[None, :] >= theta
-        tot = np.where(feas, hm[i0:i1, None] + hm[None, :], np.inf)
-        k = np.unravel_index(np.argmin(tot), tot.shape)
-        minima.append((float(tot[k]), i0 + int(k[0]), int(k[1])))
-    coarse_val, bi, bj = min(minima)
-    coarse_arg = (float(p[bi]), float(p[bj]))
-    fine_val, fine_arg = coarse_val, coarse_arg
-    step = 1.0 / n
-    for center in (coarse_arg, (coarse_arg[1], coarse_arg[0])):
-        a = np.clip(np.linspace(center[0] - step, center[0] + step, 201), step / 200.0, 1.0)
-        b = np.clip(np.linspace(center[1] - step, center[1] + step, 201), step / 200.0, 1.0)
-        feas = (np.arccos(np.sqrt(a))[:, None] + np.arccos(np.sqrt(b))[None, :]) >= theta
-        tot = np.where(feas, oracle._h_min_vec(a)[:, None] + oracle._h_min_vec(b)[None, :], np.inf)
-        k = np.unravel_index(np.argmin(tot), tot.shape)
-        v = float(tot[k])
-        if v < fine_val:
-            fine_val, fine_arg = v, (float(a[k[0]]), float(b[k[1]]))
+    half_pi = math.pi / 2
+    ang = [i * half_pi / n for i in range(n)]
+    h = [oracle._h_min(math.cos(a) ** 2) for a in ang]
+    coarse_val, bi, bj = dense_min(ang, h, ang, h, theta)
+    step = half_pi / n
+    a, b = (
+        [min(max(x + (k - 100) * step / 100.0, 0.0), half_pi) for k in range(201)]
+        for x in (ang[bi], ang[bj])
+    )
+    p_a, p_b = [math.cos(x) ** 2 for x in a], [math.cos(x) ** 2 for x in b]
+    h_a, h_b = [oracle._h_min(p) for p in p_a], [oracle._h_min(p) for p in p_b]
+    fine_val, i, j = dense_min(a, h_a, b, h_b, theta)
+    fine_arg = (p_a[i], p_b[j])
     ref = oracle.b_vs(c).nats if c >= core.INV_SQRT2 else oracle.m_inf(c)
     return oracle.OracleReport(
         c=c,
@@ -73,16 +76,9 @@ def reference_grid_min(c, points_per_axis):
         analytic_ref=ref,
         gap=fine_val - ref,
         argmin=fine_arg,
-        resolution=f"{n}x{n} grid + 201x201 local refinement at step/100",
+        resolution=f"{n}x{n} grid uniform in angle + 201x201 local refinement at step/100",
         coarse_min=coarse_val,
     )
-
-
-def dense_min(ang_a, h_a, ang_b, h_b, theta):
-    """Row-major argmin of the full constrained table."""
-    tot = np.where(ang_a[:, None] + ang_b[None, :] >= theta, h_a[:, None] + h_b[None, :], np.inf)
-    i, j = np.unravel_index(np.argmin(tot), tot.shape)
-    return float(tot[i, j]), int(i), int(j)
 
 
 def reference_sign_changes(values):
@@ -113,7 +109,8 @@ def reference_shape_check(c, grid=10_000):
     if abs(n_zero_at - mid) > 2.0 * w / grid:
         raise VerificationError(f"clause (a): zero at {n_zero_at}, expected near {mid}")
 
-    k_vals = np.array([core.k_function(float(x), c) for x in xs])
+    # K - 4, as shape_check scans it; clause (a) has checked every sample
+    k_vals = np.array([core._k_log_terms(float(x), c) for x in xs])
     k_diffs = np.diff(k_vals)
     if not np.all(k_diffs[xs[1:] < mid] > 0.0):
         raise VerificationError("clause (b): curvature function not rising before the peak")
@@ -184,12 +181,13 @@ class TestGridMin:
         assert rep.oracle_min <= core.m_inf(0.5) + 5e-3
         assert rep.oracle_min < core.b_mu(0.5)
 
-    @pytest.mark.parametrize("c", [0.5, 0.9])
+    @pytest.mark.parametrize("c", [0.5, 0.636985, 0.7, 0.9])
     def test_nested_coarse_minimum(self, c):
-        # {i/n} is a subset of {i/2n}: the raw grid minimum cannot increase
+        # for even i the angle i (pi/2) / 2n equals angle i/2 of the n grid
+        # bit for bit: the raw grid minimum cannot increase
         small = oracle.grid_min(c, points_per_axis=400)
         large = oracle.grid_min(c, points_per_axis=800)
-        assert large.coarse_min <= small.coarse_min + 1e-12
+        assert large.coarse_min <= small.coarse_min
 
     @pytest.mark.parametrize("n", [100, 101, 301])
     def test_equals_dense_scans(self, n):
@@ -198,7 +196,8 @@ class TestGridMin:
             assert oracle.grid_min(c, n) == reference_grid_min(c, n), c
 
     def test_equals_dense_scans_default_grid(self):
-        for c in [0.3, 0.645, 0.7, 0.707, 0.8, 0.95] + _SPECIAL_OVERLAPS:
+        # the dense scan costs about 0.6 s an overlap at n = 2001
+        for c in (0.3, 0.636985, 0.95):
             assert oracle.grid_min(c) == reference_grid_min(c, 2001), c
 
     def test_argmin_feasible(self):
@@ -207,75 +206,85 @@ class TestGridMin:
         theta = math.acos(0.8)
         assert math.acos(math.sqrt(pa)) + math.acos(math.sqrt(pb)) >= theta - 1e-12
 
+    # 50 overlaps over (0, 1], the old failure window near 1/sqrt(2) and the ends
+    def test_passes_across_the_domain(self, capsys):
+        overlaps = [k / 50 for k in range(1, 51)] + [0.636985, 0.70, 0.707, 0.7071, 1e-4, 1.0]
+        code = cli.main(["verify", "--suite", "grid", "--c-list", *map(repr, overlaps)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[-1] == f"RESULT: {len(overlaps)} passed, 0 failed"
+        assert all(line.startswith("PASS grid ") and "(tol 0.002)" in line for line in lines[:-1])
+
     def test_domain(self):
         with pytest.raises(DomainError):
             oracle.grid_min(0.0)
-        with pytest.raises(DomainError):
-            oracle.grid_min(0.5, points_per_axis=50)
+        for n in (0, 50, 99, 100.0, 100.5, 2001.0, math.nan, math.inf, None):
+            with pytest.raises(DomainError, match="points_per_axis must be an integer of at least"):
+                oracle.grid_min(0.5, points_per_axis=n)
 
-    def test_h_min_vector_matches_scalar(self):
-        ps = np.concatenate(
-            [
-                np.linspace(1e-3, 1.0, 997),
-                [1.0 / m for m in range(1, 12)],
-                [1.0 / m + 1e-12 for m in range(2, 12)],
-            ]
+    def test_h_min_matches_core(self):
+        angles = [i * (math.pi / 2) / 101 for i in range(101)]
+        ps = (
+            [1e-3 + k * (1.0 - 1e-3) / 996 for k in range(997)]
+            + [1.0 / m for m in range(1, 12)]
+            + [1.0 / m + 1e-12 for m in range(2, 12)]
+            + [math.cos(a) ** 2 for a in angles]
         )
-        vec = oracle._h_min_vec(ps)
-        for p, v in zip(ps, vec):
-            assert v == pytest.approx(core.h_min(float(p)), abs=1e-12)
+        for p in ps:
+            assert oracle._h_min(p) == pytest.approx(core.h_min(p), abs=1e-12), p
 
 
-class TestStaircaseMin:
+class TestConstrainedMin:
     def test_rounding_boundaries_and_repeated_values(self):
         # theta within an ulp of a float sum of two angles puts rows on the
         # edge, where theta - ang_a rounds to the wrong side; clipping and
         # rounding repeat angles and h values
-        rng = np.random.default_rng(11)
+        rng = random.Random(11)
         grows = shrinks = 0
         for _ in range(300):
-            ang_a = rng.uniform(0.0, 1.6, 40)
-            ang_b = np.sort(np.clip(rng.uniform(-0.2, 1.8, 30), 0.0, 1.6))[::-1]
-            h_a = np.round(rng.uniform(0.0, 2.0, 40), 1)
-            h_b = np.round(rng.uniform(0.0, 2.0, 30), 1)
-            edge = float(ang_a[rng.integers(40)] + ang_b[rng.integers(30)])
-            theta = math.nextafter(edge, [0.0, edge, 4.0][rng.integers(3)])
-            got = oracle._staircase_min(ang_a, h_a, ang_b, h_b, theta)
+            ang_a = [rng.uniform(0.0, 1.6) for _ in range(40)]
+            ang_b = sorted(min(max(rng.uniform(-0.2, 1.8), 0.0), 1.6) for _ in range(30))
+            h_a = [round(rng.uniform(0.0, 2.0), 1) for _ in range(40)]
+            h_b = [round(rng.uniform(0.0, 2.0), 1) for _ in range(30)]
+            edge = rng.choice(ang_a) + rng.choice(ang_b)
+            theta = math.nextafter(edge, rng.choice([0.0, edge, 4.0]))
+            got = oracle._constrained_min(ang_a, h_a, ang_b, h_b, theta)
             assert got == dense_min(ang_a, h_a, ang_b, h_b, theta)
-            exact = (ang_a[:, None] + ang_b[None, :] >= theta).sum(axis=1)
-            rounded = (ang_b[None, :] >= (theta - ang_a)[:, None]).sum(axis=1)
-            grows += int(np.any(exact > rounded))
-            shrinks += int(np.any(exact < rounded))
+            exact = [sum(a + b >= theta for b in ang_b) for a in ang_a]
+            rounded = [sum(b >= theta - a for b in ang_b) for a in ang_a]
+            grows += any(e > r for e, r in zip(exact, rounded))
+            shrinks += any(e < r for e, r in zip(exact, rounded))
         assert grows > 0 and shrinks > 0  # both corrections were needed
 
     def test_repeated_angles_on_the_boundary(self):
         # the block of equal angles 0.25 is feasible as a whole or not at all,
         # including where theta - a rounds across it
-        ang_b = np.array([1.0, 0.25, 0.25, 0.25, 0.0])
-        h_b = np.array([3.0, 2.0, 1.0, 0.5, 0.0])
+        ang_b = [0.0, 0.25, 0.25, 0.25, 1.0]
+        h_b = [0.0, 0.5, 1.0, 2.0, 3.0]
+        rng = random.Random(3)
         rounded_across = set()
-        for a in np.random.default_rng(3).uniform(0.05, 0.9, 400):
-            edge = float(a + 0.25)
+        for _ in range(400):
+            a = rng.uniform(0.05, 0.9)
+            edge = a + 0.25
             for theta in (edge, math.nextafter(edge, 4.0)):
                 feasible = a + 0.25 >= theta
                 rounded_across.add((feasible, theta - a >= 0.25))
-                ang_a, h_a = np.array([a]), np.array([0.0])
-                expected = (0.5, 0, 3) if feasible else (3.0, 0, 0)
-                assert oracle._staircase_min(ang_a, h_a, ang_b, h_b, theta) == expected
-                assert dense_min(ang_a, h_a, ang_b, h_b, theta) == expected
+                expected = (0.5, 0, 1) if feasible else (3.0, 0, 4)
+                assert oracle._constrained_min([a], [0.0], ang_b, h_b, theta) == expected
+                assert dense_min([a], [0.0], ang_b, h_b, theta) == expected
         assert {(True, False), (False, True)} <= rounded_across
 
     def test_sums_tie_only_after_rounding(self):
         # 1 + 2^-53 rounds to 1: the first j of the row wins, as in 2-D,
         # though h_b alone is smaller at j = 1
-        ang = np.array([1.0, 0.5])
-        h_a, h_b = np.array([1.0, 1.0]), np.array([2.0**-53, 0.0])
-        assert oracle._staircase_min(ang, h_a, ang, h_b, 0.0) == (1.0, 0, 0)
+        ang = [0.5, 1.0]
+        h_a, h_b = [1.0, 1.0], [2.0**-53, 0.0]
+        assert oracle._constrained_min(ang, h_a, ang, h_b, 0.0) == (1.0, 0, 0)
         assert dense_min(ang, h_a, ang, h_b, 0.0) == (1.0, 0, 0)
 
     def test_no_feasible_pair(self):
-        ang, h = np.array([0.5, 0.2]), np.array([1.0, 2.0])
-        assert oracle._staircase_min(ang, h, ang, h, 1.5) == (math.inf, 0, 0)
+        ang, h = [0.2, 0.5], [2.0, 1.0]
+        assert oracle._constrained_min(ang, h, ang, h, 1.5) == (math.inf, 0, 0)
         assert dense_min(ang, h, ang, h, 1.5) == (math.inf, 0, 0)
 
 
@@ -305,6 +314,14 @@ class TestQubitMin:
     def test_domain(self):
         with pytest.raises(DomainError):
             oracle.qubit_min(0.7)
+
+    def test_agrees_to_rounding(self):
+        # 100 overlaps over [1/sqrt(2), 1], ten more around c_star
+        overlaps = [core.INV_SQRT2 + (1.0 - core.INV_SQRT2) * k / 99 for k in range(100)]
+        overlaps += [_C_STAR * (1.0 + d) for d in (-1e-3, -1e-5, -1e-7, -1e-9, 0.0)]
+        overlaps += [min(_C_STAR * (1.0 + d), 1.0) for d in (1e-9, 1e-7, 1e-5, 1e-3, 1e-2)]
+        for c in overlaps:
+            assert abs(oracle.qubit_min(c).gap) <= 1e-14, c
 
     def test_states_satisfy_constraint(self):
         # the probability pair of any pure state respects the angle inequality
@@ -441,6 +458,12 @@ class TestShapeCheck:
         assert summary.extremum == extremum
         assert summary.k_endpoint_gap <= 1e-8
         assert summary.n_zero_at == pytest.approx(0.5 * (1.0 + c), abs=1e-3)
+
+    @pytest.mark.parametrize("c", [1e-5, 1e-6, 1e-7])
+    def test_small_overlaps_pass(self, c):
+        # near the flat peak K steps by less than ulp(4); K - 4 resolves them
+        summary = oracle.shape_check(c)
+        assert (summary.e1_sign_changes, summary.extremum) == (1, "maximum")
 
     def test_small_grid_rejected(self):
         for grid in (100, 999, 1000.0, 10_000.5, math.nan):

@@ -54,6 +54,8 @@ argvs = [
     ["sweep", "--from", "0.5", "--to", "0.9", "--step", "0.01", "--out", {str(tmp_path / "s.csv")!r}],
     ["verify", "--suite", "shape", "--c-list", "0.5"],
     ["verify", "--suite", "critique", "--c-list", "0.3"],
+    ["verify", "--suite", "grid", "--c-list", "0.5", "0.9"],
+    ["verify", "--suite", "qubit", "--c-list", "0.8"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     assert [cli.main(argv) for argv in argvs] == [0] * len(argvs)
