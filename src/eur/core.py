@@ -324,12 +324,6 @@ def k_function(p_a: float, c: float) -> float:
     and falls beyond it.
     """
     _require_interior(p_a, c)
-    return _k_value(p_a, c)
-
-
-def _k_value(p_a: float, c: float) -> float:
-    # k_function without its checks, for p_a already known to be strictly
-    # inside the admissible interval
     return _k_log_terms(p_a, c) + 4.0
 
 

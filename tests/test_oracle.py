@@ -49,7 +49,17 @@ def dense_min(ang_a, h_a, ang_b, h_b, theta):
     return best
 
 
-def reference_grid_min(c, points_per_axis):
+def dense_min_array(ang_a, h_a, ang_b, h_b, theta):
+    """dense_min on numpy tables: np.add.outer and >= round as the float +
+    and >= of the list version, and argmin breaks ties row-major."""
+    table = np.add.outer(h_a, h_b)
+    table[np.add.outer(ang_a, ang_b) < theta] = np.inf
+    k = int(np.argmin(table))
+    i, j = divmod(k, len(ang_b))
+    return float(table[i, j]), i, j
+
+
+def reference_grid_min(c, points_per_axis, dense=dense_min):
     """grid_min by dense scans on the same angle grid: the full n x n table,
     then the full 201 x 201 table around the coarse argmin.  The table
     around its mirror is the transpose (float + commutes), so it is not
@@ -59,7 +69,7 @@ def reference_grid_min(c, points_per_axis):
     half_pi = math.pi / 2
     ang = [i * half_pi / n for i in range(n)]
     h = [oracle._h_min(math.cos(a) ** 2) for a in ang]
-    coarse_val, bi, bj = dense_min(ang, h, ang, h, theta)
+    coarse_val, bi, bj = dense(ang, h, ang, h, theta)
     step = half_pi / n
     a, b = (
         [min(max(x + (k - 100) * step / 100.0, 0.0), half_pi) for k in range(201)]
@@ -67,7 +77,7 @@ def reference_grid_min(c, points_per_axis):
     )
     p_a, p_b = [math.cos(x) ** 2 for x in a], [math.cos(x) ** 2 for x in b]
     h_a, h_b = [oracle._h_min(p) for p in p_a], [oracle._h_min(p) for p in p_b]
-    fine_val, i, j = dense_min(a, h_a, b, h_b, theta)
+    fine_val, i, j = dense(a, h_a, b, h_b, theta)
     fine_arg = (p_a[i], p_b[j])
     ref = oracle.b_vs(c).nats if c >= core.INV_SQRT2 else oracle.m_inf(c)
     return oracle.OracleReport(
@@ -196,9 +206,9 @@ class TestGridMin:
             assert oracle.grid_min(c, n) == reference_grid_min(c, n), c
 
     def test_equals_dense_scans_default_grid(self):
-        # the dense scan costs about 0.6 s an overlap at n = 2001
-        for c in (0.3, 0.636985, 0.95):
-            assert oracle.grid_min(c) == reference_grid_min(c, 2001), c
+        overlaps = [0.3, 0.636985, 0.645, 0.7, 0.707, 0.8, 0.95] + _SPECIAL_OVERLAPS
+        for c in overlaps:
+            assert oracle.grid_min(c) == reference_grid_min(c, 2001, dense_min_array), c
 
     def test_argmin_feasible(self):
         rep = oracle.grid_min(0.8, points_per_axis=301)
@@ -250,6 +260,7 @@ class TestConstrainedMin:
             theta = math.nextafter(edge, rng.choice([0.0, edge, 4.0]))
             got = oracle._constrained_min(ang_a, h_a, ang_b, h_b, theta)
             assert got == dense_min(ang_a, h_a, ang_b, h_b, theta)
+            assert got == dense_min_array(ang_a, h_a, ang_b, h_b, theta)
             exact = [sum(a + b >= theta for b in ang_b) for a in ang_a]
             rounded = [sum(b >= theta - a for b in ang_b) for a in ang_a]
             grows += any(e > r for e, r in zip(exact, rounded))
