@@ -79,14 +79,19 @@ class AdmissibleInterval:
         return self.lo + d < p < self.hi - d
 
 
-def _check_overlap(c: float) -> None:
-    if not (0.0 < c <= 1.0) or math.isnan(c):
-        raise DomainError(f"overlap must lie in (0, 1], got {c!r}")
+def _check_unit(x: float, name: str) -> None:
+    # the comparison is false for nan, so nan is rejected too
+    if not 0.0 < x <= 1.0:
+        raise DomainError(f"{name} must lie in (0, 1], got {x!r}")
 
 
-def _check_prob(p: float, name: str = "p") -> None:
-    if not (0.0 < p <= 1.0) or math.isnan(p):
-        raise DomainError(f"{name} must lie in (0, 1], got {p!r}")
+def _check_multiplicities(*ms: int) -> None:
+    for m in ms:
+        # m % 1 is nan for m = inf and nonzero for non-integral m; nan fails m >= 1
+        if not (m >= 1 and m % 1 == 0):
+            if len(ms) == 1:
+                raise DomainError(f"multiplicity must be a positive integer, got {m!r}")
+            raise DomainError(f"multiplicities must be positive integers, got {ms[0]!r}, {ms[1]!r}")
 
 
 def _reciprocal(x: float, name: str) -> float:
@@ -95,6 +100,13 @@ def _reciprocal(x: float, name: str) -> float:
     if inv == math.inf:
         raise DomainError(f"{name} = {x!r} is too small: 1/{name} overflows")
     return inv
+
+
+def _inverse_square(c: float) -> float:
+    """1/c^2 for an overlap c; a c so small that 1/c^2 overflows is a
+    DomainError that names c^2."""
+    _check_unit(c, "overlap")
+    return _reciprocal(c * c, "c^2")
 
 
 def _xlnx(x: float) -> float:
@@ -109,7 +121,7 @@ def binary_entropy(p: float) -> float:
 
     Symmetric under p -> 1-p; maximal (ln 2) at p = 1/2; zero at p in {0, 1}.
     """
-    if not (0.0 <= p <= 1.0) or math.isnan(p):
+    if not (0.0 <= p <= 1.0):
         raise DomainError(f"probability must lie in [0, 1], got {p!r}")
     return -_xlnx(p) - _xlnx(1.0 - p)
 
@@ -120,7 +132,7 @@ def multiplicity_of(p: float) -> int:
     Exact reciprocals p = 1/m map to m, which keeps h_min continuous across
     the boundary.
     """
-    _check_prob(p)
+    _check_unit(p, "p")
     m = max(1, int(math.floor(_reciprocal(p, "p"))))
     # floor(1/p) can undershoot by one when 1/p rounds down across an integer
     if p * (m + 1) <= 1.0:
@@ -143,7 +155,7 @@ def h_min(p: float) -> float:
 
 def b_mu(c: float) -> float:
     """Universal entropy-sum lower bound -2 ln c (Maassen-Uffink)."""
-    _check_overlap(c)
+    _check_unit(c, "overlap")
     return -2.0 * math.log(c)
 
 
@@ -156,7 +168,7 @@ def f_bound(c: float) -> float:
     computed exactly in doubles, so there is no cancellation near c = 1;
     inputs within 1e-12 of 1 simply lose resolution in c itself.
     """
-    _check_overlap(c)
+    _check_unit(c, "overlap")
     return -_xlnx_half(1.0 + c) - _xlnx_half(1.0 - c)
 
 
@@ -174,7 +186,7 @@ def g_bound(c: float) -> float:
     for c > 1/sqrt(2), k = 1 and the value is the binary entropy of c^2.
     Identical to h_min(c^2).
     """
-    _check_overlap(c)
+    _inverse_square(c)  # validates c, and names c^2 (not h_min's p) if it is too small
     return h_min(c * c)
 
 
@@ -190,8 +202,7 @@ def lattice_bound(c: float) -> float:
 def _lattice_multiplicity(c: float) -> int:
     """Least integer M with 1/sqrt(M) <= c, i.e. ceil(1/c^2); the reciprocal
     pair (1, 1/M) is the lattice candidate at overlap c."""
-    _check_overlap(c)
-    return math.ceil(_reciprocal(c * c, "c^2"))
+    return math.ceil(_inverse_square(c))
 
 
 def p_b_of_p_a(p_a: float, c: float) -> float:
@@ -202,7 +213,7 @@ def p_b_of_p_a(p_a: float, c: float) -> float:
     Requires P_A >= c^2 (below that the defining square root of 1-P_B would
     be negative).  The map is an involution on [c^2, 1].
     """
-    _check_overlap(c)
+    _check_unit(c, "overlap")
     if math.isnan(p_a) or p_a > 1.0:
         raise DomainError(f"p_a must lie in [c^2, 1], got {p_a!r}")
     c2 = c * c
@@ -225,7 +236,7 @@ def admissible_interval(c: float) -> AdmissibleInterval:
     (1/2, (c + sqrt(1-c^2))^2 / 2) for c < 1/sqrt(2), else (c^2, 1); the two
     branches agree at c = 1/sqrt(2), which is assigned to the second branch.
     """
-    _check_overlap(c)
+    _check_unit(c, "overlap")
     if c < INV_SQRT2:
         hi = (c + math.sqrt(1.0 - c * c)) ** 2 / 2.0
         return AdmissibleInterval(0.5, min(hi, 1.0))
@@ -251,7 +262,8 @@ def m1_objective(p_a: float, c: float) -> float:
     iv = admissible_interval(c)
     if not iv.contains(p_a):
         raise DomainError(f"p_a = {p_a!r} outside admissible interval ({iv.lo!r}, {iv.hi!r})")
-    return binary_entropy(p_a) + binary_entropy(p_b_of_p_a(p_a, c))
+    # c^2 <= lo <= p_a <= hi <= 1: p_b_of_p_a's checks cannot fail
+    return binary_entropy(p_a) + binary_entropy(_p_b(p_a, c))
 
 
 def _log_ratio(num: float, den: float) -> float:
@@ -271,9 +283,7 @@ def e_function(p_a: float, c: float, m: int = 1) -> float:
     antisymmetric under P_A -> P_B(P_A).  Zeros are the stationary points of
     the constrained minimization.
     """
-    # m % 1 is nan for m = inf and nonzero for non-integral m; nan fails m >= 1
-    if not (m >= 1 and m % 1 == 0):
-        raise DomainError(f"multiplicity must be a positive integer, got {m!r}")
+    _check_multiplicities(m)
     _require_interior(p_a, c)
     return _e_value(p_a, c, m)
 
@@ -299,7 +309,7 @@ def e_limit_lo(c: float) -> float:
 
         -c sqrt(1-c^2) ln(c^2 / (1-c^2)) <= 0.
     """
-    _check_overlap(c)
+    _check_unit(c, "overlap")
     s = math.sqrt(1.0 - c * c)
     if c < INV_SQRT2:
         return (1.0 - 2.0 * c * c) * math.log((s + c) / (s - c))
@@ -343,7 +353,7 @@ def k_max_value(c: float) -> float:
     Positive below the critical overlap solving c ln((1+c)/(1-c)) = 2,
     negative above it.
     """
-    _check_overlap(c)
+    _check_unit(c, "overlap")
     if c == 1.0:
         return -math.inf
     return -2.0 * c * math.log((1.0 + c) / (1.0 - c)) + 4.0
@@ -358,7 +368,7 @@ def k_endpoint_value(c: float) -> float:
     decreasing from 4 (c -> 0) to -inf (c -> 1/sqrt(2)).  Returns -inf once
     2c sqrt(1-c^2) >= 1 - 1e-15.
     """
-    if not (0.0 < c < INV_SQRT2) or math.isnan(c):
+    if not (0.0 < c < INV_SQRT2):
         raise DomainError(f"k_endpoint_value requires 0 < c < 1/sqrt(2), got {c!r}")
     s = 2.0 * c * math.sqrt(1.0 - c * c)
     if s >= 1.0 - 1e-15:
@@ -398,7 +408,7 @@ def _n_value(p_a: float, c: float) -> float:
 def r_function(x: float) -> float:
     """ln(x/(1-x)) + (1-2x)/(2x(1-x)); negative on (1/2, 1), antisymmetric
     about x = 1/2.  Drives the monotonicity of n_function."""
-    if not (0.0 < x < 1.0) or math.isnan(x):
+    if not (0.0 < x < 1.0):
         raise DomainError(f"r_function requires 0 < x < 1, got {x!r}")
     value = math.log(x / (1.0 - x)) + (1.0 - 2.0 * x) / (2.0 * x * (1.0 - x))
     if value == math.inf:  # the second term overflows for x below about 2.8e-309
@@ -418,7 +428,7 @@ def m_inf(c: float) -> float:
     Evaluation is permitted up to c = 1/sqrt(2) inclusive, where the value is
     ln 2.
     """
-    if not (0.0 < c <= INV_SQRT2) or math.isnan(c):
+    if not (0.0 < c <= INV_SQRT2):
         raise DomainError(f"m_inf requires 0 < c <= 1/sqrt(2), got {c!r}")
     s = min(2.0 * c * math.sqrt(1.0 - c * c), 1.0)
     # ((1+-s)/2) ln((1+-s)/4) = x ln(x/2) with x = (1+-s)/2
@@ -430,15 +440,9 @@ def eqc_overlap(p_a: float, p_b: float) -> float:
 
         sqrt(P_A P_B) - sqrt((1-P_A)(1-P_B)).
     """
-    _check_prob(p_a, "p_a")
-    _check_prob(p_b, "p_b")
+    _check_unit(p_a, "p_a")
+    _check_unit(p_b, "p_b")
     return math.sqrt(p_a * p_b) - math.sqrt((1.0 - p_a) * (1.0 - p_b))
-
-
-def _check_multiplicities(m_a: int, m_b: int) -> None:
-    # m % 1 is nan for m = inf and nonzero for non-integral m; nan fails m >= 1
-    if not all(m >= 1 and m % 1 == 0 for m in (m_a, m_b)):
-        raise DomainError(f"multiplicities must be positive integers, got {m_a!r}, {m_b!r}")
 
 
 def ineq_c_max(m_a: int, m_b: int) -> float:
@@ -468,7 +472,7 @@ def kkt_multiplier(p_a: float) -> float:
     positive on (1/2, 1).  At a zero of e_function(., c, 1) the A-side and
     B-side recoveries agree.
     """
-    if not (0.5 < p_a < 1.0) or math.isnan(p_a):
+    if not (0.5 < p_a < 1.0):
         raise DomainError(f"kkt_multiplier requires 1/2 < p_a < 1, got {p_a!r}")
     return 2.0 * math.sqrt(p_a * (1.0 - p_a)) * math.log(p_a / (1.0 - p_a))
 

@@ -42,22 +42,21 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from .core import (
     INV_SQRT2,
-    _check_overlap,
+    _check_unit,
     _e_value,
     _k_log_terms,
     _lattice_multiplicity,
     _n_value,
+    _p_b,
     admissible_interval,
     b_mu,
     binary_entropy,
-    e_function,
     g_bound,
     k_function,
     lattice_bound,
     m1_objective,
     m_inf,
     n_function,
-    p_b_of_p_a,
 )
 from .errors import DomainError, VerificationError
 from .solve import BoundReport, RegionTag, b_vs, c_star, classify_region
@@ -183,7 +182,7 @@ def grid_min(c: float, points_per_axis: int = 2001) -> OracleReport:
     (the window around its mirror is the transpose).  points_per_axis is an
     integer of at least 100.
     """
-    _check_overlap(c)
+    _check_unit(c, "overlap")
     if not isinstance(points_per_axis, numbers.Integral) or points_per_axis < 100:
         raise DomainError(
             f"points_per_axis must be an integer of at least 100, got {points_per_axis!r}"
@@ -230,7 +229,7 @@ def qubit_min(c: float) -> OracleReport:
     is refined by golden-section search to 1e-10 in phi, within one scan
     step either side.  Dimension two forces c >= 1/sqrt(2).
     """
-    if math.isnan(c) or not (INV_SQRT2 - 1e-12 <= c <= 1.0):
+    if not (INV_SQRT2 - 1e-12 <= c <= 1.0):
         raise DomainError(f"qubit_min requires 1/sqrt(2) <= c <= 1, got {c!r}")
     theta = math.acos(c)
     step = _HALF_PI / 500
@@ -389,20 +388,6 @@ def _sign_changes(values: Sequence[float]) -> int:
     return sum(a * b < 0 for a, b in zip(signs, signs[1:]))
 
 
-def _scan(
-    checked: Callable[[float, float], float],
-    kernel: Callable[[float, float], float],
-    xs: list[float],
-    c: float,
-) -> list[float]:
-    """kernel(x, c) at every x of the increasing samples xs, once the checked
-    function has accepted the first and the last: it rejects any sample
-    outside the admissible interval, so every sample lies strictly inside."""
-    checked(xs[0], c)
-    checked(xs[-1], c)
-    return [kernel(x, c) for x in xs]
-
-
 def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
     """Sampled structural assertions on the auxiliary curves at overlap c.
 
@@ -416,10 +401,10 @@ def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
         minimum above, by second differences.
 
     The samples lo + i w / grid, i = 1..grid-1, increase, so once the first
-    and the last pass n_function, k_function and e_function, every sample
-    lies strictly inside the admissible interval and the scans run on their
-    unchecked kernels (_scan).  Raises VerificationError naming the violated
-    clause and sample.
+    and the last pass n_function, every sample lies strictly inside the
+    admissible interval and the scans of clauses (a), (b) and (d) run on the
+    unchecked kernels _n_value, _k_log_terms and _e_value.  Raises
+    VerificationError naming the violated clause and sample.
     """
     if not isinstance(grid, numbers.Integral) or grid < 1000:
         raise DomainError(f"grid must be an integer of at least 1000, got {grid!r}")
@@ -429,9 +414,11 @@ def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
     mid = 0.5 * (1.0 + c)
     step = w / grid
     xs = [lo + i * step for i in range(1, grid)]
+    n_function(xs[0], c)
+    n_function(xs[-1], c)
 
     # (a) slope control strictly decreasing, unique zero at the symmetric point
-    n_vals = _scan(n_function, _n_value, xs, c)
+    n_vals = [_n_value(x, c) for x in xs]
     diffs = [b - a for a, b in zip(n_vals, n_vals[1:])]
     if not all(d < 0.0 for d in diffs):
         k = next((i for i, d in enumerate(diffs) if d >= 0.0), 0)  # as np.argmax
@@ -446,7 +433,7 @@ def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
     #     the straddling pair is skipped (float-flat at a quadratic maximum).
     #     K - 4 is scanned: near the flat peak neighbouring values of K differ
     #     by less than ulp(4) and would round to equal
-    k_vals = _scan(k_function, _k_log_terms, xs, c)
+    k_vals = [_k_log_terms(x, c) for x in xs]
     k_diffs = [b - a for a, b in zip(k_vals, k_vals[1:])]
     if not all(d > 0.0 for x, d in zip(xs[1:], k_diffs) if x < mid):
         raise VerificationError("clause (b): curvature function not rising before the peak")
@@ -456,12 +443,12 @@ def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
     # (c) endpoint symmetry through the involution pairing; the 1e-4 inset
     # keeps the dual point outside the raw-evaluation endpoint guard
     x_in = lo + 1e-4 * w
-    k_gap = abs(k_function(x_in, c) - k_function(p_b_of_p_a(x_in, c), c))
+    k_gap = abs(k_function(x_in, c) - k_function(_p_b(x_in, c), c))
     if k_gap > 1e-8:
         raise VerificationError(f"clause (c): endpoint values differ by {k_gap}")
 
     # (d) sign changes of the stationarity function, by region
-    e_count = _sign_changes(_scan(e_function, _e_value, xs, c))
+    e_count = _sign_changes([_e_value(x, c) for x in xs])
     expected = 3 if region.tag is RegionTag.H1 else 1
     if e_count != expected:
         raise VerificationError(
@@ -497,7 +484,7 @@ def boundary_case_min(c: float) -> OracleReport:
     """Minimum over the boundary candidate families for c > 1/sqrt(2): the
     pair (P_A, P_B) = (1, c^2) and the reciprocal lattice pairs.  Asserts the
     result does not undercut the piecewise bound (they tie only at c = 1)."""
-    if math.isnan(c) or not (INV_SQRT2 < c <= 1.0):
+    if not (INV_SQRT2 < c <= 1.0):
         raise DomainError(f"boundary_case_min requires 1/sqrt(2) < c <= 1, got {c!r}")
     g = g_bound(c)
     lat = lattice_bound(c)

@@ -23,15 +23,14 @@ from typing import Callable, Optional
 
 from .core import (
     INV_SQRT2,
-    _check_overlap,
+    _check_unit,
     _e_value,
+    _p_b,
     admissible_interval,
     b_mu,
     binary_entropy,
-    e_function,
     eqc_overlap,
     f_bound,
-    p_b_of_p_a,
 )
 from .errors import BracketError, ConvergenceError, DomainError, SingularValueError
 
@@ -201,7 +200,7 @@ def _regions() -> tuple[Region, Region, Region]:
 def classify_region(c: float) -> Region:
     """Branch of the piecewise bound containing c.  Boundary ties: exactly
     1/sqrt(2) classifies as H1Region, exactly c_star as FRegion."""
-    _check_overlap(c)
+    _check_unit(c, "overlap")
     mu, h1, f = _regions()
     if c < INV_SQRT2:
         return mu
@@ -217,16 +216,18 @@ def _h1_solution(c: float) -> tuple[float, tuple[float, float]]:
     the function is positive).  Degenerate cases: at c = 1/sqrt(2) the zero
     merges into the lower endpoint, at c = c_star into the symmetric point;
     both are detected by the bracket signs and answered with the endpoint /
-    symmetric closed forms.  The bracket ends go through the checked
-    e_function; Brent iterates stay inside [a, b], strictly within the
-    endpoint guard, so the root solve iterates on the unchecked _e_value.
+    symmetric closed forms.  c is a validated overlap in [1/sqrt(2), c_star].
+    The bracket ends sit BRACKET_INSET of the half-width inside the interval,
+    at least 700 times the ENDPOINT_GUARD inset, and Brent iterates stay
+    inside [a, b]; the root r and its mirror P_B(r) lie in the interval too.
+    So every evaluation runs on the unchecked kernels _e_value and _p_b.
     """
     iv = admissible_interval(c)
     mid = 0.5 * (1.0 + c)
     delta = BRACKET_INSET * (mid - iv.lo)
     a, b = iv.lo + delta, mid - delta
-    ea = e_function(a, c)
-    eb = e_function(b, c)
+    ea = _e_value(a, c)
+    eb = _e_value(b, c)
     if ea >= 0.0:
         # zero merged with the lower endpoint (c at or within noise of 1/sqrt(2)):
         # P_B -> 1 contributes nothing
@@ -236,9 +237,9 @@ def _h1_solution(c: float) -> tuple[float, tuple[float, float]]:
         return f_bound(c), (mid, mid)
     rr = find_root(lambda p: _e_value(p, c), a, b)
     r = rr.root
-    pb = p_b_of_p_a(r, c)
+    pb = _p_b(r, c)
     value = binary_entropy(r) + binary_entropy(pb)
-    mirrored = binary_entropy(pb) + binary_entropy(p_b_of_p_a(pb, c))
+    mirrored = binary_entropy(pb) + binary_entropy(_p_b(pb, c))
     if abs(value - mirrored) > 1e-10:
         raise ConvergenceError(
             f"mirrored stationary values disagree at c = {c}: {value} vs {mirrored}"
@@ -261,7 +262,7 @@ def h1_witness(c: float) -> tuple[float, float]:
 
 def _check_h1_domain(c: float) -> float:
     cs = c_star().root
-    if math.isnan(c) or not (INV_SQRT2 - 1e-12 <= c <= cs + 1e-12):
+    if not (INV_SQRT2 - 1e-12 <= c <= cs + 1e-12):
         raise DomainError(f"h1_bound requires 1/sqrt(2) <= c <= c_star ({cs:.6f}), got {c!r}")
     return min(max(c, INV_SQRT2), cs)
 
@@ -369,7 +370,10 @@ def eqsin_roots(theta: float) -> list[float]:
             try:
                 rr = find_root(lambda a: eqsin_residual(a, theta), prev[0], x, abs_tol=1e-12)
             except DomainError:
-                pass  # crossing sits on a removable point; the filter below drops it anyway
+                # an iterate came within 1e-12 of a removable point, or a log
+                # argument cancelled to 0 (SingularValueError): the crossing is
+                # dropped, and for c <= 1e-8 that loses the root near -c/2
+                pass
             else:
                 roots.append(rr.root)
         prev = (x, v)
@@ -399,9 +403,11 @@ def critique_report(c: float) -> CritiqueReport:
     sqrt(P_A P_B) - sqrt((1-P_A)(1-P_B)) = c.  Each root is labeled
     admissible or with the first check it violates.
     """
-    if not (0.0 < c < INV_SQRT2) or math.isnan(c):
+    if not (0.0 < c < INV_SQRT2):
         raise DomainError(f"critique_report requires 0 < c < 1/sqrt(2), got {c!r}")
     theta = math.acos(c)
+    if theta >= 0.5 * math.pi:
+        raise DomainError(f"c = {c!r} is too small: arccos(c) rounds to pi/2")
     iv = admissible_interval(c)
     entries = []
     for alpha in eqsin_roots(theta):
@@ -419,7 +425,7 @@ def critique_report(c: float) -> CritiqueReport:
                 alpha=alpha,
                 p_a=p_a,
                 p_b=p_b,
-                residual=abs(eqsin_residual(alpha, theta)),
+                residual=abs(_eqsin_value(alpha, theta)),
                 admissible=violated is None,
                 violated_constraint=violated,
             )

@@ -76,6 +76,12 @@ class TestEval:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("c,c2", [("1e-160", "1e-320"), ("5e-324", "0.0")])
+    def test_underflowing_overlap_names_c_squared(self, capsys, c, c2):
+        code, out, err = run_cli(capsys, "eval", "--c", c)
+        assert (code, out) == (2, "")
+        assert err == f"error: c^2 = {c2} is too small: 1/c^2 overflows\n"
+
 
 class TestConstants:
     def test_text(self, capsys):
@@ -222,6 +228,12 @@ class TestCritique:
         code, _, err = run_cli(capsys, "critique", "--c", "0.75")
         assert code == 2
         assert "1/sqrt(2)" in err
+
+    def test_overlap_below_angle_resolution_exit_2(self, capsys):
+        # arccos(1e-17) rounds to pi/2: the error names c, not the angle
+        code, out, err = run_cli(capsys, "critique", "--c", "1e-17")
+        assert (code, out) == (2, "")
+        assert err == "error: c = 1e-17 is too small: arccos(c) rounds to pi/2\n"
 
 
 class TestVerify:

@@ -1,6 +1,10 @@
 """The package's public names and the documentation of its front end."""
 
 import argparse
+import dataclasses
+import inspect
+import itertools
+import math
 import os
 import re
 import subprocess
@@ -89,3 +93,67 @@ names = importlib.import_module("eur.oracle").__all__
 assert all(getattr(eur, name) is getattr(eur.oracle, name) for name in names)
 """
     _fresh_python(code, tmp_path)
+
+
+def _special_floats():
+    out = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, 1e-160, 1e-13, 0.5, 2.0]
+    for x in (eur.INV_SQRT2, eur.c_star().root, 1.0):
+        out += [math.nextafter(x, 0.0), x, math.nextafter(x, 2.0)]
+    return out
+
+
+def _non_finite_floats(value):
+    """Every float inside value, a record of nested tuples, lists and
+    dataclasses, that is not finite."""
+    if isinstance(value, float):
+        return [] if math.isfinite(value) else [value]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, (tuple, list)):
+        return [x for v in value for x in _non_finite_floats(v)]
+    return []
+
+
+# the two -inf returns that the exception contract does not yet cover
+_DOCUMENTED_INF = {
+    "k_max_value": lambda c: c == 1.0,
+    "k_endpoint_value": lambda c: abs(c - eur.INV_SQRT2) < 1e-8,
+}
+
+
+def test_special_floats_give_finite_values_or_eur_errors():
+    """Every public function that takes floats, on every combination of
+    special floats for its required arguments, returns finite floats (in
+    every field of a returned record) or raises an EurError."""
+    skip = {"find_root", "random_state_check"}
+    funcs = [
+        (name, fn)
+        for name in eur.__all__
+        if inspect.isfunction(fn := getattr(eur, name)) and name not in skip
+    ]
+    floats = _special_floats()
+    bad, calls = [], 0
+    for name, fn in funcs:
+        arity = sum(p.default is p.empty for p in inspect.signature(fn).parameters.values())
+        for args in itertools.product(floats, repeat=arity):
+            calls += 1
+            try:
+                value = fn(*args)
+            except eur.EurError:
+                continue
+            except Exception as exc:
+                bad.append((name, args, repr(exc)))
+                continue
+            non_finite = _non_finite_floats(value)
+            allowed = name in _DOCUMENTED_INF and _DOCUMENTED_INF[name](*args)
+            if non_finite and not (allowed and non_finite == [-math.inf]):
+                bad.append((name, args, value))
+    assert calls > 4000
+    assert bad == []
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README, re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

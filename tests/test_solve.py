@@ -171,9 +171,9 @@ def _h1_reference(c):
 
 
 class TestUncheckedKernel:
-    """The H1 root solve iterates on core._e_value, the checked e_function
-    only at the bracket ends; results must be bit-identical to checking
-    every iterate."""
+    """The H1 root solve evaluates only the unchecked kernels core._e_value
+    (bracket ends and iterates) and core._p_b (the witness and its mirror);
+    results must be bit-identical to checking every evaluation."""
 
     @staticmethod
     def overlaps():
