@@ -7,21 +7,21 @@
                   [--c-list C ...] [--tol T] [--grid N] [--seed S]
     eur critique  --c C [--json]
 
-Exit codes: 0 success, 2 domain error, 3 solver non-convergence,
-4 verification failure.  Defaults for --tol and --grid can also come from
-the environment (EUR_TOL, EUR_GRID); explicit flags win.
+Exit codes: 0 success, 2 domain error or failed write (to --out or
+stdout), 3 solver non-convergence, 4 verification failure.  Defaults for
+--tol and --grid can also come from the environment (EUR_TOL, EUR_GRID);
+explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 from dataclasses import asdict, dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import core, solve
 from .errors import ConvergenceError, DomainError, VerificationError
@@ -53,8 +53,10 @@ def _setting(flag, name: str, kind: type, noun: str, default):
         raise DomainError(f"environment variable {name} is not {noun}: {raw!r}")
 
 
-def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else f"{x + 0.0:.12g}"  # + 0.0 drops negative zero
+def _cells(values: Iterable[Optional[float]]) -> list[str]:
+    """The text of `eval` and `sweep` cells: 12 significant digits, blank for
+    None.  + 0.0 turns negative zero into 0.0, so it prints as 0."""
+    return ["" if x is None else f"{x + 0.0:.12g}" for x in values]
 
 
 def _row(c: float, bits: bool) -> tuple[list, str, Optional[tuple[float, float]]]:
@@ -83,10 +85,8 @@ def _print_record(rec: dict, as_json: bool) -> None:
         return
     width = max(len(k) for k in rec)
     for k, v in rec.items():
-        if isinstance(v, float):
-            v = _fmt(v)
-        elif v is None:
-            v = ""
+        if not isinstance(v, str):
+            [v] = _cells([v])
         print(f"{k:<{width}} = {v}")
 
 
@@ -138,21 +138,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise DomainError(f"step {step} is too small to advance from {lo} to {hi}")
     count = int(math.floor(span + 1e-9)) + 1
     try:
-        out = open(args.out, "w", newline="")
+        with open(args.out, "w", newline="") as out:
+            out.write(",".join([*_COLUMNS, "region"]) + "\n")
+            for k in range(count):
+                c = lo + k * step
+                if k and abs(c - hi) < step * 1e-6:  # row 0 stays at `from`, whatever the step
+                    c = hi  # snap the final sample; k*step can overshoot by ulps
+                elif c > hi:
+                    break
+                values, region, _ = _row(c, args.bits)
+                out.write(",".join([*_cells(values), region]) + "\n")
     except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    with out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow([*_COLUMNS, "region"])
-        for k in range(count):
-            c = lo + k * step
-            if k and abs(c - hi) < step * 1e-6:  # row 0 stays at `from`, whatever the step
-                c = hi  # snap the final sample; k*step can overshoot by ulps
-            elif c > hi:
-                break
-            values, region, _ = _row(c, args.bits)
-            writer.writerow([*map(_fmt, values), region])
+        return _cannot_write(args.out, exc)
     return EXIT_OK
 
 
@@ -369,11 +366,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cannot_write(target: str, exc: OSError) -> int:
+    print(f"error: cannot write {target}: {exc}", file=sys.stderr)
+    return EXIT_DOMAIN
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when the process started without a stdout
+            sys.stdout.flush()  # a full disk or a closed pipe shows here, not at exit
+        return code
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -383,6 +388,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except OSError as exc:
+        # only stdout is written outside cmd_sweep's own handler.  Point its
+        # descriptor at devnull, as the `signal` module docs advise for a
+        # broken pipe, so that the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _cannot_write("stdout", exc)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import DomainError, SingularValueError
 
@@ -285,17 +286,23 @@ def e_function(p_a: float, c: float, m: int = 1) -> float:
     """
     _check_multiplicities(m)
     _require_interior(p_a, c)
-    return _e_value(p_a, c, m)
+    return _e_kernel(c, m)(p_a)
 
 
-def _e_value(p_a: float, c: float, m: int = 1) -> float:
-    # e_function without its checks, for p_a already known to be strictly
-    # inside the admissible interval (the H1 root solve and the shape oracle
-    # iterate on it)
-    p_b = _p_b(p_a, c)
-    term_b = m * math.sqrt(p_b * (1.0 - p_b)) * _log_ratio(p_b, 1.0 - m * p_b)
-    term_a = math.sqrt(p_a * (1.0 - p_a)) * _log_ratio(p_a, 1.0 - p_a)
-    return term_b - term_a
+def _e_kernel(c: float, m: int = 1) -> Callable[[float], float]:
+    """E_m(., c) as a function of P_A alone, without e_function's checks.
+
+    Bound once per overlap for callers that evaluate it at many P_A already
+    known to lie strictly inside the admissible interval: the H1 root solve
+    and the shape oracle's scan."""
+
+    def e(p_a: float) -> float:
+        p_b = _p_b(p_a, c)
+        term_b = m * math.sqrt(p_b * (1.0 - p_b)) * _log_ratio(p_b, 1.0 - m * p_b)
+        term_a = math.sqrt(p_a * (1.0 - p_a)) * _log_ratio(p_a, 1.0 - p_a)
+        return term_b - term_a
+
+    return e
 
 
 def e_limit_lo(c: float) -> float:

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 from .core import (
     INV_SQRT2,
     _check_unit,
-    _e_value,
+    _e_kernel,
     _k_log_terms,
     _lattice_multiplicity,
     _n_value,
@@ -403,8 +403,9 @@ def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
     The samples lo + i w / grid, i = 1..grid-1, increase, so once the first
     and the last pass n_function, every sample lies strictly inside the
     admissible interval and the scans of clauses (a), (b) and (d) run on the
-    unchecked kernels _n_value, _k_log_terms and _e_value.  Raises
-    VerificationError naming the violated clause and sample.
+    unchecked kernels _n_value, _k_log_terms and E_1 bound once to c by
+    _e_kernel.  Raises VerificationError naming the violated clause and
+    sample.
     """
     if not isinstance(grid, numbers.Integral) or grid < 1000:
         raise DomainError(f"grid must be an integer of at least 1000, got {grid!r}")
@@ -448,7 +449,8 @@ def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
         raise VerificationError(f"clause (c): endpoint values differ by {k_gap}")
 
     # (d) sign changes of the stationarity function, by region
-    e_count = _sign_changes([_e_value(x, c) for x in xs])
+    e = _e_kernel(c)
+    e_count = _sign_changes([e(x) for x in xs])
     expected = 3 if region.tag is RegionTag.H1 else 1
     if e_count != expected:
         raise VerificationError(

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 from .core import (
     INV_SQRT2,
     _check_unit,
-    _e_value,
+    _e_kernel,
     _p_b,
     admissible_interval,
     b_mu,
@@ -119,10 +119,11 @@ def find_root(
 ) -> RootResult:
     """Bracketed root of a continuous scalar function.
 
-    Brent-style iteration: bisection safeguarded by secant / inverse quadratic
-    interpolation.  The bracket may be given in either sign orientation; it
-    must enclose a sign change.  Stops when the bracket shrinks below
-    max(abs_tol, a few ulps) or an exact zero is hit.
+    Evaluates f at both ends, returns an end where f is exactly 0, rejects a
+    bracket without a sign change, and leaves the iteration to the Brent
+    kernel _brent.  The bracket may be given in either sign orientation.
+    Stops when the bracket shrinks below max(abs_tol, a few ulps) or an
+    exact zero is hit.
     """
     a, b = float(lo), float(hi)
     fa, fb = f(a), f(b)
@@ -132,7 +133,25 @@ def find_root(
         return RootResult(b, (lo, hi), 0.0, 0)
     if math.copysign(1.0, fa) == math.copysign(1.0, fb):
         raise BracketError(f"f({lo}) = {fa} and f({hi}) = {fb} have the same sign")
+    return _brent(f, lo, hi, fa, fb, abs_tol, max_iter)
 
+
+def _brent(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    f_lo: float,
+    f_hi: float,
+    abs_tol: float = 1e-13,
+    max_iter: int = 200,
+) -> RootResult:
+    """find_root without its checks, for a caller that has already evaluated
+    f at both ends and found values that are nonzero and of opposite sign.
+
+    Brent-style iteration: bisection safeguarded by secant / inverse quadratic
+    interpolation.
+    """
+    a, b, fa, fb = float(lo), float(hi), f_lo, f_hi
     c_, fc = a, fa
     d = e = b - a
     eps = math.ulp(1.0)
@@ -216,18 +235,22 @@ def _h1_solution(c: float) -> tuple[float, tuple[float, float]]:
     the function is positive).  Degenerate cases: at c = 1/sqrt(2) the zero
     merges into the lower endpoint, at c = c_star into the symmetric point;
     both are detected by the bracket signs and answered with the endpoint /
-    symmetric closed forms.  c is a validated overlap in [1/sqrt(2), c_star].
-    The bracket ends sit BRACKET_INSET of the half-width inside the interval,
-    at least 700 times the ENDPOINT_GUARD inset, and Brent iterates stay
-    inside [a, b]; the root r and its mirror P_B(r) lie in the interval too.
-    So every evaluation runs on the unchecked kernels _e_value and _p_b.
+    symmetric closed forms.  Otherwise the end values are nonzero and of
+    opposite sign, so they go straight to the Brent kernel _brent, which
+    evaluates neither end again.  c is a validated overlap in
+    [1/sqrt(2), c_star].  The bracket ends sit BRACKET_INSET of the
+    half-width inside the interval, at least 700 times the ENDPOINT_GUARD
+    inset, and Brent iterates stay inside [a, b]; the root r and its mirror
+    P_B(r) lie in the interval too.  So every evaluation runs on the
+    unchecked kernels: E_1 bound once to c by _e_kernel, and _p_b.
     """
     iv = admissible_interval(c)
     mid = 0.5 * (1.0 + c)
     delta = BRACKET_INSET * (mid - iv.lo)
     a, b = iv.lo + delta, mid - delta
-    ea = _e_value(a, c)
-    eb = _e_value(b, c)
+    e = _e_kernel(c)
+    ea = e(a)
+    eb = e(b)
     if ea >= 0.0:
         # zero merged with the lower endpoint (c at or within noise of 1/sqrt(2)):
         # P_B -> 1 contributes nothing
@@ -235,8 +258,7 @@ def _h1_solution(c: float) -> tuple[float, tuple[float, float]]:
     if eb <= 0.0:
         # zero merged with the symmetric point (c at or beyond c_star)
         return f_bound(c), (mid, mid)
-    rr = find_root(lambda p: _e_value(p, c), a, b)
-    r = rr.root
+    r = _brent(e, a, b, ea, eb).root
     pb = _p_b(r, c)
     value = binary_entropy(r) + binary_entropy(pb)
     mirrored = binary_entropy(pb) + binary_entropy(_p_b(pb, c))

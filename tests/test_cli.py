@@ -1,8 +1,10 @@
 """CLI behavior: output formats, CSV contract, exit codes, configuration."""
 
 import csv
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -208,6 +210,108 @@ class TestSweep:
             list(csv.reader(p2.read_text().splitlines()))[1:],
         ):
             assert float(rb[2]) == pytest.approx(float(rn[2]) / LN2, abs=1e-11)
+
+
+def _reference_cell(x):
+    return "" if x is None else f"{x + 0.0:.12g}"
+
+
+def reference_sweep_csv(lo, hi, step, bits=False):
+    """The sweep CSV as the csv.writer row writer with one format call per
+    cell produced it, over the rows of cli._row.  Kept as the reference for
+    the one-join-per-row writer."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([*cli._COLUMNS, "region"])
+    for k in range(int(math.floor((hi - lo) / step + 1e-9)) + 1):
+        c = lo + k * step
+        if k and abs(c - hi) < step * 1e-6:
+            c = hi
+        elif c > hi:
+            break
+        values, region, _ = cli._row(c, bits)
+        writer.writerow([*map(_reference_cell, values), region])
+    return out.getvalue()
+
+
+class TestSweepWriter:
+    """The sweep writer is byte-identical to reference_sweep_csv."""
+
+    @staticmethod
+    def sweep(capsys, tmp_path, lo, hi, step, *flags):
+        out_path = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(
+            capsys, "sweep", "--from", repr(lo), "--to", repr(hi), "--step", repr(step),
+            "--out", str(out_path), *flags,
+        )
+        assert code == 0
+        data = out_path.read_bytes()
+        assert data == reference_sweep_csv(lo, hi, step, bits="--bits" in flags).encode()
+        return list(csv.reader(data.decode().splitlines()))
+
+    def test_all_regions_to_one(self, capsys, tmp_path):
+        # b_mu(1) is -0.0 and must print as 0
+        assert math.copysign(1.0, core.b_mu(1.0)) == -1.0
+        rows = self.sweep(capsys, tmp_path, 0.3, 1.0, 0.0125)
+        assert {row[9] for row in rows[1:]} == {"MuRegion", "H1Region", "FRegion"}
+        assert rows[-1][:3] == ["1", "0", "0"]
+
+    def test_rows_at_both_region_edges(self, capsys, tmp_path):
+        lo, cs = core.INV_SQRT2, solve.c_star().root
+        rows = self.sweep(capsys, tmp_path, lo, cs, (cs - lo) / 7)
+        first, last = rows[1], rows[-1]
+        assert (first[0], first[6], first[9]) == (f"{lo:.12g}", "", "H1Region")
+        assert (last[0], last[7], last[9]) == (f"{cs:.12g}", "", "FRegion")
+
+    def test_bits(self, capsys, tmp_path):
+        rows = self.sweep(capsys, tmp_path, 0.05, 1.0, 0.0125, "--bits")
+        assert rows[-1][:3] == ["1", "0", "0"]
+
+
+class TestWriteFailures:
+    """A failed write to --out or stdout prints one error line, and nothing
+    at interpreter exit, and exits 2."""
+
+    @staticmethod
+    def run(argv, stdout):
+        proc = subprocess.run(
+            [sys.executable, "-m", "eur.cli", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+        return proc.returncode, proc.stderr
+
+    def test_unopenable_out_exit_2(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "sweep", "--from", "0.5", "--to", "0.9", "--step", "0.1", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert err.startswith(f"error: cannot write {tmp_path}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_out_exit_2(self):
+        argv = ["sweep", "--from", "0.5", "--to", "0.9", "--step", "0.01", "--out", "/dev/full"]
+        code, err = self.run(argv, subprocess.DEVNULL)
+        assert (code, err) == (2, "error: cannot write /dev/full: [Errno 28] No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["eval", "--c", "0.8"], ["eval", "--c", "0.8", "--json"]])
+    def test_full_stdout_exit_2(self, argv):
+        with open("/dev/full", "w") as full:
+            code, err = self.run(argv, full)
+        assert (code, err) == (2, "error: cannot write stdout: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize(
+        "argv", [["constants"], ["verify", "--suite", "critique"]], ids=["constants", "critique"]
+    )
+    def test_closed_pipe_exit_2(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            code, err = self.run(argv, write_end)
+        finally:
+            os.close(write_end)
+        assert (code, err) == (2, "error: cannot write stdout: [Errno 32] Broken pipe\n")
 
 
 class TestCritique:

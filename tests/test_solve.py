@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eur import core, solve
-from eur.errors import BracketError, ConvergenceError, DomainError, SingularValueError
+from eur.errors import BracketError, ConvergenceError, DomainError, EurError, SingularValueError
 
 LN2 = math.log(2.0)
 
@@ -154,26 +154,92 @@ class TestH1Bound:
             solve.h1_bound(c)
 
 
+def reference_find_root(f, lo, hi, abs_tol=1e-13, max_iter=200):
+    """solve.find_root as it was before its checks and its Brent loop were
+    split into find_root and solve._brent: one function that evaluates both
+    bracket ends itself.  Kept as the reference for the H1 solve."""
+    a, b = float(lo), float(hi)
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return solve.RootResult(a, (lo, hi), 0.0, 0)
+    if fb == 0.0:
+        return solve.RootResult(b, (lo, hi), 0.0, 0)
+    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
+        raise BracketError(f"f({lo}) = {fa} and f({hi}) = {fb} have the same sign")
+
+    c_, fc = a, fa
+    d = e = b - a
+    eps = math.ulp(1.0)
+    for it in range(1, max_iter + 1):
+        if math.copysign(1.0, fb) == math.copysign(1.0, fc):
+            c_, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c_ = b, c_, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * eps * abs(b) + 0.5 * abs_tol
+        m = 0.5 * (c_ - b)
+        if abs(m) <= tol or fb == 0.0:
+            return solve.RootResult(b, (lo, hi), abs(fb), it)
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c_:
+                p = 2.0 * m * s
+                q = 1.0 - s
+            else:
+                q = fa / fc
+                r = fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+    raise ConvergenceError(f"no convergence within {max_iter} iterations on [{lo}, {hi}]")
+
+
 def _h1_reference(c):
     """_h1_solution with every E_1 evaluation, bracket ends and iterates, through
-    the checked core.e_function, and the witness through the public functions."""
+    the checked core.e_function, the root from reference_find_root, which
+    evaluates both ends a second time, and the witness through the public
+    functions.  Returns the value, the witness and the Brent iteration count
+    (None when a degenerate case answers without a solve)."""
     iv = core.admissible_interval(c)
     mid = 0.5 * (1.0 + c)
     delta = solve.BRACKET_INSET * (mid - iv.lo)
     a, b = iv.lo + delta, mid - delta
     if core.e_function(a, c) >= 0.0:
-        return core.binary_entropy(iv.lo), (iv.lo, 1.0)
+        return core.binary_entropy(iv.lo), (iv.lo, 1.0), None
     if core.e_function(b, c) <= 0.0:
-        return core.f_bound(c), (mid, mid)
-    r = solve.find_root(lambda p: core.e_function(p, c), a, b).root
-    pb = core.p_b_of_p_a(r, c)
-    return core.binary_entropy(r) + core.binary_entropy(pb), (r, pb)
+        return core.f_bound(c), (mid, mid), None
+    rr = reference_find_root(lambda p: core.e_function(p, c), a, b)
+    pb = core.p_b_of_p_a(rr.root, c)
+    return core.binary_entropy(rr.root) + core.binary_entropy(pb), (rr.root, pb), rr.iterations
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the EurError it raises."""
+    try:
+        return fn(*args)
+    except EurError as exc:
+        return type(exc), str(exc)
 
 
 class TestUncheckedKernel:
-    """The H1 root solve evaluates only the unchecked kernels core._e_value
-    (bracket ends and iterates) and core._p_b (the witness and its mirror);
-    results must be bit-identical to checking every evaluation."""
+    """The H1 root solve evaluates only the unchecked kernels: E_1 bound to c
+    by core._e_kernel (bracket ends and iterates) and core._p_b (the witness
+    and its mirror).  It hands the bracket end values to solve._brent, so
+    each end is evaluated once.  Results must be bit-identical to checking
+    every evaluation and evaluating both ends again."""
 
     @staticmethod
     def overlaps():
@@ -181,18 +247,62 @@ class TestUncheckedKernel:
         edges = [x for e in (lo, cs) for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0))]
         return [lo + (cs - lo) * k / 2000 for k in range(2000)] + edges
 
-    def test_h1_solution_matches_checked_solve(self):
-        cs = self.overlaps()
-        assert len(cs) >= 2000
-        assert [solve._h1_solution(c) for c in cs] == [_h1_reference(c) for c in cs]
+    def test_h1_solution_matches_checked_solve(self, monkeypatch):
+        """Value, witness and Brent iteration count are == to the reference,
+        and E_1 runs once per bracket end and once per Brent iterate."""
+        runs = []  # (iterations, E_1 evaluations) of each Brent solve
+        evals = [0]
+        kernel, brent = core._e_kernel, solve._brent
+
+        def counting_kernel(c, m=1):
+            e = kernel(c, m)
+
+            def counted(p_a):
+                evals[0] += 1
+                return e(p_a)
+
+            return counted
+
+        def recording_brent(*args):
+            rr = brent(*args)
+            runs.append(rr.iterations)
+            return rr
+
+        cs = self.overlaps()  # solves c_star before the Brent kernel is recorded
+        assert len(cs) >= 2006
+        monkeypatch.setattr(solve, "_e_kernel", counting_kernel)
+        monkeypatch.setattr(solve, "_brent", recording_brent)
+        got, e_counts = [], []
+        for c in cs:
+            evals[0] = 0
+            value, witness = solve._h1_solution(c)
+            iterations = runs.pop() if runs else None
+            got.append((value, witness, iterations))
+            # both ends, then one iterate per Brent iteration but the last
+            e_counts.append((evals[0], 2 if iterations is None else iterations + 1))
+        assert got == [_h1_reference(c) for c in cs]
+        assert sum(it is not None for _, _, it in got) >= 1999  # all but the degenerate ends
+        assert all(n == expected for n, expected in e_counts)
+
+    def test_e_kernel_matches_e_function(self):
+        """The per-overlap kernel returns what e_function returns, or raises
+        the same error, for m = 1, 2, 3."""
+        for c in self.overlaps():
+            iv = core.admissible_interval(c)
+            points = [iv.lo + t * iv.width for t in (1e-6, 0.01, 0.2, 0.5, 0.8, 0.99, 1.0 - 1e-6)]
+            for m in (1, 2, 3):
+                e = core._e_kernel(c, m)
+                for p in points:
+                    assert _outcome(e, p) == _outcome(core.e_function, p, c, m)
 
     @pytest.mark.parametrize("c", [0.3, 0.6, core.INV_SQRT2, 0.75, 0.8, 0.9, 0.99])
     def test_helpers_match_public_functions(self, c):
         iv = core.admissible_interval(c)
+        e = core._e_kernel(c)
         for t in (1e-6, 0.01, 0.2, 0.5, 0.8, 0.99, 1.0 - 1e-6):
             p = iv.lo + t * iv.width
             assert core._p_b(p, c) == core.p_b_of_p_a(p, c)
-            assert core._e_value(p, c) == core.e_function(p, c)
+            assert e(p) == core.e_function(p, c)
             assert core._n_value(p, c) == core.n_function(p, c)
             assert core._k_log_terms(p, c) + 4.0 == core.k_function(p, c)
 
