@@ -8,14 +8,15 @@
     eur critique  --c C [--json]
 
 Exit codes: 0 success, 2 domain error or failed write (to --out or
-stdout), 3 solver non-convergence, 4 verification failure.  Defaults for
---tol and --grid can also come from the environment (EUR_TOL, EUR_GRID);
-explicit flags win.
+stdout), 3 solver failure (no convergence or no bracket), 4 verification
+failure.  Defaults for --tol and --grid can also come from the environment
+(EUR_TOL, EUR_GRID); explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -24,12 +25,20 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import core, solve
-from .errors import ConvergenceError, DomainError, VerificationError
+from .errors import BracketError, ConvergenceError, DomainError, EurError, VerificationError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_CONVERGENCE = 3
 EXIT_VERIFY = 4
+
+# exit code by error class, looked up along the raised class's MRO
+_EXIT_CODES = {
+    DomainError: EXIT_DOMAIN,
+    BracketError: EXIT_CONVERGENCE,
+    ConvergenceError: EXIT_CONVERGENCE,
+    VerificationError: EXIT_VERIFY,
+}
 
 # One row of `eval` and `sweep`; every column after theta is an entropy.
 _COLUMNS = ("c", "theta", "b_mu", "f", "g", "lattice", "m_inf", "h1", "b_vs")
@@ -352,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p_verify.add_argument("--c-list", dest="c_list", type=float, nargs="+", default=None)
-    p_verify.add_argument("--c", dest="c_list", type=float, nargs="+", help=argparse.SUPPRESS)
     p_verify.add_argument("--tol", type=float, default=None)
     p_verify.add_argument("--grid", type=int, default=None)
     p_verify.add_argument("--seed", type=int, default=_DEFAULT_SEED)
@@ -374,20 +382,19 @@ def _cannot_write(target: str, exc: OSError) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # sweep writes only to --out; every other command prints its result
+    writes_stdout = args.func is not cmd_sweep
+    if writes_stdout and sys.stdout is None:
+        # the process started with descriptor 1 closed: print would drop every line
+        return _cannot_write("stdout", OSError(errno.EBADF, os.strerror(errno.EBADF)))
     try:
         code = args.func(args)
-        if sys.stdout is not None:  # None when the process started without a stdout
+        if writes_stdout:
             sys.stdout.flush()  # a full disk or a closed pipe shows here, not at exit
         return code
-    except DomainError as exc:
+    except EurError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
     except OSError as exc:
         # only stdout is written outside cmd_sweep's own handler.  Point its
         # descriptor at devnull, as the `signal` module docs advise for a

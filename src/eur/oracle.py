@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
@@ -138,24 +137,22 @@ def _constrained_min(
     test ang_a[i] + ang_b[j] >= theta, ties broken as by a row-major 2-D
     argmin; (inf, 0, 0) if no pair is feasible.
 
-    ang_b must be non-decreasing, with distinct values more than a few ulps
-    of theta apart.  Float addition is monotone, so the feasible j of row i
-    form a suffix j >= start, and the row minimum is h_a[i] plus the suffix
-    minimum of h_b.
+    ang_b must be non-decreasing.  Float addition is monotone, so the
+    feasible j of row i form a suffix j >= start, and the row minimum is
+    h_a[i] plus the suffix minimum of h_b.  Each row walks the start from
+    that of the previous row with the float test itself.
     """
     n = len(ang_b)
     suffix = list(h_b)  # suffix[j] = min(h_b[j:])
     for j in range(n - 2, -1, -1):
         suffix[j] = min(suffix[j], suffix[j + 1])
     best, bi, bs = math.inf, 0, n
+    s = n
     for i, (a, h) in enumerate(zip(ang_a, h_a)):
-        s = bisect_left(ang_b, theta - a)
-        # theta - a is rounded: move the start across at most one block of
-        # equal angles so that it agrees with the float sum test
-        if s > 0 and a + ang_b[s - 1] >= theta:
-            s = bisect_left(ang_b, ang_b[s - 1])
-        elif s < n and a + ang_b[s] < theta:
-            s = bisect_right(ang_b, ang_b[s])
+        while s > 0 and a + ang_b[s - 1] >= theta:
+            s -= 1
+        while s < n and a + ang_b[s] < theta:
+            s += 1
         if s < n and h + suffix[s] < best:
             best, bi, bs = h + suffix[s], i, s
     if bs == n:

@@ -357,12 +357,13 @@ def eqsin_roots(theta: float) -> list[float]:
     """All distinct zeros of eqsin_residual over alpha in (-pi/4, pi/2).
 
     Scans at the fixed step _SCAN_STEP = 1e-4, refines each sign change with
-    find_root, skips the identical-zero points and their 1e-6 neighborhoods,
-    and merges refined roots closer than one step.  The scan window covers
-    one full period of the cos^2 parametrization.  Every scan angle is finite
-    and outside both neighborhoods, so the scan runs on the unchecked
-    _eqsin_value; the refinement, whose iterates can come near an excluded
-    point, goes through the checked eqsin_residual.
+    find_root, skips the identical-zero points and their 1e-6
+    neighborhoods, and merges refined roots closer than one step.  The scan
+    window covers one full period of the cos^2 parametrization.  Scan and
+    refinement run on the unchecked _eqsin_value: every scan angle is finite
+    and outside both neighborhoods, and a bracket can straddle an
+    identical-zero point, but a refinement that converges onto one returns
+    a root inside its neighborhood, which is dropped.
     """
     if not (0.0 < theta < 0.5 * math.pi):
         raise DomainError(f"theta must lie in (0, pi/2), got {theta!r}")
@@ -390,11 +391,10 @@ def eqsin_roots(theta: float) -> list[float]:
             continue
         if prev is not None and math.copysign(1.0, prev[1]) != math.copysign(1.0, v):
             try:
-                rr = find_root(lambda a: eqsin_residual(a, theta), prev[0], x, abs_tol=1e-12)
-            except DomainError:
-                # an iterate came within 1e-12 of a removable point, or a log
-                # argument cancelled to 0 (SingularValueError): the crossing is
-                # dropped, and for c <= 1e-8 that loses the root near -c/2
+                rr = find_root(lambda a: _eqsin_value(a, theta), prev[0], x, abs_tol=1e-12)
+            except SingularValueError:
+                # a log argument cancelled to 0: the crossing is dropped, and
+                # for c <= 1e-8 that loses the root near -c/2
                 pass
             else:
                 roots.append(rr.root)
@@ -403,7 +403,6 @@ def eqsin_roots(theta: float) -> list[float]:
     roots = [
         r for r in roots if abs(r - e1) > _EXCLUSION_RADIUS and abs(r - e2) > _EXCLUSION_RADIUS
     ]
-    roots.sort()
     deduped: list[float] = []
     for r in roots:
         if not deduped or r - deduped[-1] >= _SCAN_STEP:

@@ -280,6 +280,14 @@ class TestWriteFailures:
         )
         return proc.returncode, proc.stderr
 
+    @staticmethod
+    def run_closed_stdout(argv):
+        proc = subprocess.run(
+            ["sh", "-c", '"$@" >&-', "sh", sys.executable, "-m", "eur.cli", *argv],
+            stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+        return proc.returncode, proc.stderr
+
     def test_unopenable_out_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "sweep", "--from", "0.5", "--to", "0.9", "--step", "0.1", "--out", str(tmp_path),
@@ -312,6 +320,27 @@ class TestWriteFailures:
         finally:
             os.close(write_end)
         assert (code, err) == (2, "error: cannot write stdout: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--c", "0.8"],
+            ["constants"],
+            ["critique", "--c", "0.6"],
+            ["verify", "--suite", "critique"],
+        ],
+        ids=["eval", "constants", "critique", "verify"],
+    )
+    def test_closed_stdout_exit_2(self, argv):
+        # Python sets sys.stdout to None when descriptor 1 is closed at start
+        code, err = self.run_closed_stdout(argv)
+        assert (code, err) == (2, "error: cannot write stdout: [Errno 9] Bad file descriptor\n")
+
+    def test_closed_stdout_sweep_writes_its_file(self, tmp_path):
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--from", "0.5", "--to", "0.9", "--step", "0.1", "--out", str(out)]
+        assert self.run_closed_stdout(argv) == (0, "")
+        assert out.read_text().count("\n") == 6
 
 
 class TestCritique:
@@ -497,6 +526,16 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "constants")
         assert code == 3
         assert "no convergence" in err
+
+    def test_bracket_failure_exit_3(self, capsys, monkeypatch):
+        from eur.errors import BracketError
+
+        def boom(c):
+            raise BracketError("no sign change")
+
+        monkeypatch.setattr(cli.solve, "critique_report", boom)
+        code, out, err = run_cli(capsys, "critique", "--c", "0.6")
+        assert (code, out, err) == (3, "", "error: no sign change\n")
 
 
 class TestEntryPoint:

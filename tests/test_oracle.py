@@ -265,7 +265,7 @@ class TestConstrainedMin:
             rounded = [sum(b >= theta - a for b in ang_b) for a in ang_a]
             grows += any(e > r for e, r in zip(exact, rounded))
             shrinks += any(e < r for e, r in zip(exact, rounded))
-        assert grows > 0 and shrinks > 0  # both corrections were needed
+        assert grows > 0 and shrinks > 0  # rounded theta - a missed the float test both ways
 
     def test_repeated_angles_on_the_boundary(self):
         # the block of equal angles 0.25 is feasible as a whole or not at all,

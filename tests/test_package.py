@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import eur
-from eur import cli
+from eur import cli, oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -75,8 +75,8 @@ namespace = {}
 exec("from eur import *", namespace)
 del namespace["__builtins__"]
 import eur
-from eur import core, errors, oracle, solve
-expected = [*core.__all__, *errors.__all__, *oracle.__all__, *solve.__all__]
+from eur import core, errors, solve
+expected = [*core.__all__, *errors.__all__, *solve.__all__]
 assert eur.__all__ == expected
 assert sorted(namespace) == sorted(expected)
 assert all(namespace[name] is getattr(eur, name) for name in expected)
@@ -84,13 +84,13 @@ assert all(namespace[name] is getattr(eur, name) for name in expected)
     _fresh_python(code, tmp_path)
 
 
-def test_each_oracle_name_resolves_on_first_access(tmp_path):
-    # every name in oracle.__all__ must load through eur's lazy __getattr__
+def test_importing_eur_loads_neither_oracle_nor_numpy(tmp_path):
     code = """
-import importlib
+import sys
 import eur
-names = importlib.import_module("eur.oracle").__all__
-assert all(getattr(eur, name) is getattr(eur.oracle, name) for name in names)
+assert "eur.oracle" not in sys.modules and "numpy" not in sys.modules
+import eur.cli
+assert "eur.oracle" not in sys.modules and "numpy" not in sys.modules
 """
     _fresh_python(code, tmp_path)
 
@@ -122,14 +122,16 @@ _DOCUMENTED_INF = {
 
 
 def test_special_floats_give_finite_values_or_eur_errors():
-    """Every public function that takes floats, on every combination of
-    special floats for its required arguments, returns finite floats (in
-    every field of a returned record) or raises an EurError."""
+    """Every public function of eur and eur.oracle that takes floats, on
+    every combination of special floats for its required arguments, returns
+    finite floats (in every field of a returned record) or raises an
+    EurError."""
     skip = {"find_root", "random_state_check"}
     funcs = [
         (name, fn)
-        for name in eur.__all__
-        if inspect.isfunction(fn := getattr(eur, name)) and name not in skip
+        for module in (eur, oracle)
+        for name in module.__all__
+        if inspect.isfunction(fn := getattr(module, name)) and name not in skip
     ]
     floats = _special_floats()
     bad, calls = [], 0

@@ -495,13 +495,15 @@ def reference_eqsin_roots(theta):
 
 
 class TestEqsinRoots:
-    # near 0 and pi/2, overlaps on both sides of 1/sqrt(2), every pi/32, and
-    # two angles that put a scan point on theta/2 and on theta/2 + pi/4
+    # near 0 and pi/2, overlaps on both sides of 1/sqrt(2) and at the tiny
+    # overlaps whose root near -c/2 is lost, every pi/32, and two angles that
+    # put a scan point on theta/2 and on theta/2 + pi/4
     @pytest.mark.parametrize(
         "theta",
         [1e-9, 1e-6, 1e-3, 0.5 * math.pi - 1e-3, 0.5 * math.pi - 1e-6]
         + [math.nextafter(0.5 * math.pi, 0.0)]
         + [math.acos(c) for c in (0.1, 0.3, 0.5, 0.6, 0.7, 0.7071, 0.8, 0.99)]
+        + [math.acos(c) for c in (1e-8, 1e-12, 0.7071067811865466)]
         + [k * math.pi / 32 for k in range(1, 16)]
         + [2.0 * (-0.25 * math.pi + 10_000 * 1e-4), 2.0 * (-0.5 * math.pi + 20_000 * 1e-4)],
     )
