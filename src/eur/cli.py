@@ -355,11 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run a brute-force verification suite")
-    p_verify.add_argument(
-        "--suite",
-        choices=["grid", "qubit", "shape", "random", "critique", "all"],
-        required=True,
-    )
+    p_verify.add_argument("--suite", choices=[*_SUITES, "all"], required=True)
     p_verify.add_argument("--c-list", dest="c_list", type=float, nargs="+", default=None)
     p_verify.add_argument("--tol", type=float, default=None)
     p_verify.add_argument("--grid", type=int, default=None)

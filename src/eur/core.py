@@ -19,6 +19,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -461,6 +462,9 @@ def ineq_c_max(m_a: int, m_b: int) -> float:
     one of them to unity for any c > 0.
     """
     _check_multiplicities(m_a, m_b)
+    # (m_a - 1)(m_b - 1) < m_a m_b, so a finite product keeps every term finite
+    if not m_a * m_b <= sys.float_info.max:
+        raise DomainError(f"multiplicities {m_a!r}, {m_b!r} are too large: m_a m_b overflows")
     return (1.0 - (m_a - 1) * (m_b - 1)) / math.sqrt(m_a * m_b)
 
 
@@ -491,4 +495,7 @@ def nats_to_bits(x: float) -> float:
     """Display-time conversion of an entropy value from nats to bits."""
     if not math.isfinite(x):
         raise DomainError(f"entropy must be finite, got {x!r}")
-    return x * _BITS_PER_NAT
+    bits = x * _BITS_PER_NAT
+    if not math.isfinite(bits):
+        raise DomainError(f"entropy {x!r} nats is too large: its value in bits overflows")
+    return bits

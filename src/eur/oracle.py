@@ -200,7 +200,8 @@ def grid_min(c: float, points_per_axis: int = 2001) -> OracleReport:
     h_a, h_b = ([_h_min(p) for p in ps] for ps in (p_a, p_b))
     val, i, j = _constrained_min(ang_a, h_a, ang_b, h_b, theta)
 
-    ref = b_vs(c).nats if c >= INV_SQRT2 else m_inf(c)
+    bound = b_vs(c)
+    ref = m_inf(c) if bound.region.tag is RegionTag.MU else bound.nats
     return OracleReport(
         c=c,
         oracle_min=val,
@@ -460,7 +461,7 @@ def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
     v0 = m1_objective(mid, c)
     v_minus = m1_objective(mid - h_off, c)
     v_plus = m1_objective(mid + h_off, c)
-    if c < region.c_star:
+    if region.tag is not RegionTag.F:
         if not (v_minus < v0 and v_plus < v0):
             raise VerificationError(f"clause (e): expected a maximum at (1+c)/2 for c = {c}")
         extremum = "maximum"

@@ -31,6 +31,7 @@ from .core import (
     binary_entropy,
     eqc_overlap,
     f_bound,
+    k_max_value,
 )
 from .errors import BracketError, ConvergenceError, DomainError, SingularValueError
 
@@ -55,6 +56,7 @@ __all__ = [
 
 # Relative inset used when bracketing roots away from singular endpoints.
 BRACKET_INSET = 1e-6
+_MAX_ITER = 200  # iteration cap of the Brent kernel _brent
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,9 @@ class RegionTag(Enum):
 @dataclass(frozen=True)
 class Region:
     tag: RegionTag
-    c_star: float
+
+
+_MU, _H1, _F = (Region(tag) for tag in RegionTag)
 
 
 @dataclass(frozen=True)
@@ -111,11 +115,7 @@ class CritiqueReport:
 
 
 def find_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    abs_tol: float = 1e-13,
-    max_iter: int = 200,
+    f: Callable[[float], float], lo: float, hi: float, abs_tol: float = 1e-13
 ) -> RootResult:
     """Bracketed root of a continuous scalar function.
 
@@ -133,7 +133,7 @@ def find_root(
         return RootResult(b, (lo, hi), 0.0, 0)
     if math.copysign(1.0, fa) == math.copysign(1.0, fb):
         raise BracketError(f"f({lo}) = {fa} and f({hi}) = {fb} have the same sign")
-    return _brent(f, lo, hi, fa, fb, abs_tol, max_iter)
+    return _brent(f, lo, hi, fa, fb, abs_tol)
 
 
 def _brent(
@@ -143,7 +143,6 @@ def _brent(
     f_lo: float,
     f_hi: float,
     abs_tol: float = 1e-13,
-    max_iter: int = 200,
 ) -> RootResult:
     """find_root without its checks, for a caller that has already evaluated
     f at both ends and found values that are nonzero and of opposite sign.
@@ -155,7 +154,7 @@ def _brent(
     c_, fc = a, fa
     d = e = b - a
     eps = math.ulp(1.0)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         if math.copysign(1.0, fb) == math.copysign(1.0, fc):
             c_, fc = a, fa
             d = e = b - a
@@ -189,17 +188,19 @@ def _brent(
         a, fa = b, fb
         b += d if abs(d) > tol else math.copysign(tol, m)
         fb = f(b)
-    raise ConvergenceError(f"no convergence within {max_iter} iterations on [{lo}, {hi}]")
+    raise ConvergenceError(f"no convergence within {_MAX_ITER} iterations on [{lo}, {hi}]")
 
 
 def _c_star_equation(c: float) -> float:
-    return c * math.log((1.0 + c) / (1.0 - c)) - 2.0
+    # c ln((1+c)/(1-c)) - 2; scaling K_max by -1/2 is exact in floats
+    return -0.5 * k_max_value(c)
 
 
 @lru_cache(maxsize=1)
 def c_star() -> RootResult:
     """Critical overlap solving c ln((1+c)/(1-c)) = 2, equivalently
-    c artanh(c) = 1; approximately 0.8336.  Computed once per process."""
+    c artanh(c) = 1; approximately 0.8336.  The zero of the peak curvature
+    k_max_value, positive below it and negative above.  Computed once per process."""
     return find_root(_c_star_equation, INV_SQRT2, 1.0 - 1e-9, abs_tol=1e-15)
 
 
@@ -210,20 +211,13 @@ def c_dagger() -> RootResult:
     return find_root(lambda c: f_bound(c) - b_mu(c), 0.1, INV_SQRT2, abs_tol=1e-15)
 
 
-@lru_cache(maxsize=1)
-def _regions() -> tuple[Region, Region, Region]:
-    cs = c_star().root
-    return Region(RegionTag.MU, cs), Region(RegionTag.H1, cs), Region(RegionTag.F, cs)
-
-
 def classify_region(c: float) -> Region:
     """Branch of the piecewise bound containing c.  Boundary ties: exactly
     1/sqrt(2) classifies as H1Region, exactly c_star as FRegion."""
     _check_unit(c, "overlap")
-    mu, h1, f = _regions()
     if c < INV_SQRT2:
-        return mu
-    return h1 if c < h1.c_star else f
+        return _MU
+    return _H1 if c < c_star().root else _F
 
 
 def _h1_solution(c: float) -> tuple[float, tuple[float, float]]:

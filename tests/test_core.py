@@ -5,6 +5,7 @@ significant digits (see the inline expressions next to each constant).
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -453,6 +454,14 @@ class TestIneqCMax:
         assert core.ineq_c_max(1.0, 4.0) == core.ineq_c_max(1, 4)
         assert core.ineq_c_max_single(2.0, 1.0) == core.ineq_c_max_single(2, 1)
 
+    @pytest.mark.parametrize("ma,mb", [(1e155, 1e155), (1e308, 1e308), (2.0, 1e308), (10**200, 10**200)])
+    def test_overflowing_product(self, ma, mb):
+        with pytest.raises(DomainError, match="m_a m_b overflows"):
+            core.ineq_c_max(ma, mb)
+
+    def test_largest_finite_product(self):
+        assert core.ineq_c_max(1.0, 1e308) == 1e-154
+
 
 class TestKktMultiplier:
     def test_values(self):
@@ -522,5 +531,9 @@ class TestDerivativeConsistency:
 def test_nats_to_bits():
     assert core.nats_to_bits(LN2) == pytest.approx(1.0, abs=1e-15)
     for x in (math.inf, -math.inf, math.nan):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="entropy must be finite"):
+            core.nats_to_bits(x)
+    assert core.nats_to_bits(1.2e308) == pytest.approx(1.2e308 / LN2, rel=1e-15)
+    for x in (sys.float_info.max, -1.3e308):
+        with pytest.raises(DomainError, match="overflows"):
             core.nats_to_bits(x)

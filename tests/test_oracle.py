@@ -143,7 +143,7 @@ def reference_shape_check(c, grid=10_000):
     v0 = core.m1_objective(mid, c)
     v_minus = core.m1_objective(mid - h_off, c)
     v_plus = core.m1_objective(mid + h_off, c)
-    if c < region.c_star:
+    if c < solve.c_star().root:
         if not (v_minus < v0 and v_plus < v0):
             raise VerificationError(f"clause (e): expected a maximum at (1+c)/2 for c = {c}")
         extremum = "maximum"

@@ -11,6 +11,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import eur
 from eur import cli, oracle
 
@@ -97,6 +101,7 @@ assert "eur.oracle" not in sys.modules and "numpy" not in sys.modules
 
 def _special_floats():
     out = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, 1e-160, 1e-13, 0.5, 2.0]
+    out += [1e155, 1e308, sys.float_info.max]
     for x in (eur.INV_SQRT2, eur.c_star().root, 1.0):
         out += [math.nextafter(x, 0.0), x, math.nextafter(x, 2.0)]
     return out
@@ -121,37 +126,76 @@ _DOCUMENTED_INF = {
 }
 
 
+# every public function of eur and eur.oracle that takes floats
+_PUBLIC_FUNCTIONS = {
+    name: fn
+    for module in (eur, oracle)
+    for name in module.__all__
+    if inspect.isfunction(fn := getattr(module, name))
+    and name not in {"find_root", "random_state_check"}
+}
+
+
+def _arity(fn):
+    return sum(p.default is p.empty for p in inspect.signature(fn).parameters.values())
+
+
+def _contract_breach(name, args):
+    """None when the function returns finite floats (in every field of a
+    returned record) or raises an EurError, else what it did instead."""
+    try:
+        value = _PUBLIC_FUNCTIONS[name](*args)
+    except eur.EurError:
+        return None
+    except Exception as exc:
+        return repr(exc)
+    non_finite = _non_finite_floats(value)
+    allowed = name in _DOCUMENTED_INF and _DOCUMENTED_INF[name](*args)
+    if non_finite and not (allowed and non_finite == [-math.inf]):
+        return value
+    return None
+
+
 def test_special_floats_give_finite_values_or_eur_errors():
-    """Every public function of eur and eur.oracle that takes floats, on
-    every combination of special floats for its required arguments, returns
-    finite floats (in every field of a returned record) or raises an
-    EurError."""
-    skip = {"find_root", "random_state_check"}
-    funcs = [
-        (name, fn)
-        for module in (eur, oracle)
-        for name in module.__all__
-        if inspect.isfunction(fn := getattr(module, name)) and name not in skip
-    ]
+    """Every public function, on every combination of special floats for its
+    required arguments, honours the float contract."""
     floats = _special_floats()
     bad, calls = [], 0
-    for name, fn in funcs:
-        arity = sum(p.default is p.empty for p in inspect.signature(fn).parameters.values())
-        for args in itertools.product(floats, repeat=arity):
+    for name, fn in _PUBLIC_FUNCTIONS.items():
+        for args in itertools.product(floats, repeat=_arity(fn)):
             calls += 1
-            try:
-                value = fn(*args)
-            except eur.EurError:
-                continue
-            except Exception as exc:
-                bad.append((name, args, repr(exc)))
-                continue
-            non_finite = _non_finite_floats(value)
-            allowed = name in _DOCUMENTED_INF and _DOCUMENTED_INF[name](*args)
-            if non_finite and not (allowed and non_finite == [-math.inf]):
-                bad.append((name, args, value))
+            if (breach := _contract_breach(name, args)) is not None:
+                bad.append((name, args, breach))
     assert calls > 4000
     assert bad == []
+
+
+# examples per function: Hypothesis spends about 1.3 ms on each, so 70
+# keeps the whole test near 3 s, and the oracles that take tens of
+# milliseconds on an in-domain overlap get fewer
+_SLOW_EXAMPLES = {
+    "critique_report": 20,
+    "eqsin_roots": 20,
+    "grid_min": 20,
+    "qubit_min": 20,
+    "shape_check": 10,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PUBLIC_FUNCTIONS))
+def test_any_floats_give_finite_values_or_eur_errors(name):
+    """The float contract on drawn arguments: any float, over the full
+    range, or one of the special floats."""
+    floats = st.floats() | st.sampled_from(_special_floats())
+
+    @settings(
+        derandomize=True, database=None, deadline=None, max_examples=_SLOW_EXAMPLES.get(name, 70)
+    )
+    @given(st.tuples(*[floats] * _arity(_PUBLIC_FUNCTIONS[name])))
+    def check(args):
+        assert _contract_breach(name, args) is None
+
+    check()
 
 
 def test_readme_python_blocks_run():

@@ -70,9 +70,11 @@ class TestFindRoot:
         with pytest.raises(BracketError):
             solve.find_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
-    def test_convergence_error(self):
-        with pytest.raises(ConvergenceError):
-            solve.find_root(lambda x: x * x - 2.0, 1.0, 2.0, abs_tol=1e-15, max_iter=2)
+    def test_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(solve, "_MAX_ITER", 2)
+        message = r"no convergence within 2 iterations on \[1.0, 2.0\]"
+        with pytest.raises(ConvergenceError, match=message):
+            solve.find_root(lambda x: x * x - 2.0, 1.0, 2.0, abs_tol=1e-15)
 
 
 class TestConstants:
@@ -82,6 +84,12 @@ class TestConstants:
         assert abs(rr.root - CSTAR) <= 2e-15
         assert abs(rr.root * math.log((1.0 + rr.root) / (1.0 - rr.root)) - 2.0) <= 1e-12
         assert abs(rr.root * math.atanh(rr.root) - 1.0) <= 1e-12
+
+    def test_c_star_equation_is_its_written_form(self):
+        # -K_max / 2 equals c ln((1+c)/(1-c)) - 2 bit for bit
+        cs = [k / 1000 for k in range(1, 1000)] + [10.0**-k for k in range(1, 320)] + [CSTAR]
+        written = [c * math.log((1.0 + c) / (1.0 - c)) - 2.0 for c in cs]
+        assert [solve._c_star_equation(c) for c in cs] == written
 
     def test_c_star_memoized(self):
         assert solve.c_star() is solve.c_star()
@@ -118,6 +126,13 @@ class TestClassifyRegion:
     def test_domain(self):
         with pytest.raises(DomainError):
             solve.classify_region(0.0)
+
+    def test_mu_overlap_does_not_solve_c_star(self, monkeypatch):
+        def boom():
+            raise AssertionError("c_star solved for an MU overlap")
+
+        monkeypatch.setattr(solve, "c_star", boom)
+        assert solve.b_vs(0.5).region.tag is solve.RegionTag.MU
 
 
 class TestH1Bound:
