@@ -218,7 +218,10 @@ def _grid_checks(c_list, tol, grid_n, seed) -> Iterator[Check]:
             desc = f"|oracle-analytic| = {abs(rep.gap):.3e}"
         else:
             passed = rep.oracle_min <= rep.analytic_ref + tol and rep.oracle_min < core.b_mu(c)
-            desc = f"min = {rep.oracle_min:.6f} vs endpoint-infimum {rep.analytic_ref:.6f}"
+            desc = (
+                f"min = {rep.oracle_min:.6f} vs endpoint-infimum {rep.analytic_ref:.6f} "
+                f"(excess {rep.gap:.3e})"
+            )
         yield Check("grid", passed, f"c={c:g} {desc} (tol {tol:g})")
 
 
@@ -290,7 +293,7 @@ def _critique_checks(c_list, tol, grid_n, seed) -> Iterator[Check]:
 
 # suite -> (runner, default c-list, default tol, default grid), in `--suite all` order
 _SUITES = {
-    "grid": (_grid_checks, (0.3, 0.5, 0.65, 0.75, 0.80, 0.90, 0.99), 2e-3, 2001),
+    "grid": (_grid_checks, (0.3, 0.5, 0.65, 0.75, 0.80, 0.90, 0.99), 1e-9, 2001),
     "qubit": (_qubit_checks, (0.71, 0.75, 0.80, 0.8336, 0.87, 0.95, 0.99), 1e-6, None),
     "shape": (_shape_checks, (0.5, 0.8, 0.9), None, 10_000),
     "random": (_random_checks, (), 1e-9, None),

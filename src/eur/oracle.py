@@ -2,10 +2,11 @@
 
 Five checks, each attacking the closed-form results from a different side:
 
-  * grid_min          -- 2-D grid minimization of h_min(P_A) + h_min(P_B)
-                         under the raw Landau-Pollak constraint, using the
-                         full multiplicity structure (all m, not just m = 1)
-                         and never the closed-form P_B(P_A) curve;
+  * grid_min          -- minimum of h_min(P_A) + h_min(P_B) under the raw
+                         Landau-Pollak constraint, on the line where it is
+                         saturated, using the full multiplicity structure
+                         (all m, not just m = 1) and never the closed-form
+                         P_B(P_A) curve;
   * qubit_min         -- exact two-dimensional state-space sweep: the entropy
                          sum over states (cos phi, sin phi) against bases at
                          relative angle theta;
@@ -24,8 +25,8 @@ Five checks, each attacking the closed-form results from a different side:
                          reciprocal lattice pairs), asserting neither beats
                          the piecewise bound.
 
-The grid passes find the constrained minimum exactly, row by row, with no
-2-D table (_constrained_min).  Only random_state_check uses numpy, which it
+grid_min and qubit_min share one 1-D minimizer, a scan refined by golden
+section (_scan_golden).  Only random_state_check uses numpy, which it
 imports when called, and chunks its work; its result does not depend on the
 chunk size.  The other oracles are plain Python over floats, so importing
 this module or running them does not load numpy.
@@ -37,7 +38,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from .core import (
     INV_SQRT2,
@@ -83,7 +84,6 @@ class OracleReport:
     gap: float  # oracle_min - analytic_ref, signed
     argmin: Union[tuple[float, float], float]
     resolution: str
-    coarse_min: Optional[float] = None  # pre-refinement grid minimum, when applicable
 
 
 @dataclass(frozen=True)
@@ -130,54 +130,59 @@ def _h_min(p: float) -> float:
     return out - rem * math.log(rem) if rem > 1e-300 else out
 
 
-def _constrained_min(
-    ang_a: list[float], h_a: list[float], ang_b: list[float], h_b: list[float], theta: float
-) -> tuple[float, int, int]:
-    """(value, i, j) of the minimum of h_a[i] + h_b[j] subject to the float
-    test ang_a[i] + ang_b[j] >= theta, ties broken as by a row-major 2-D
-    argmin; (inf, 0, 0) if no pair is feasible.
+def _scan_golden(
+    f: Callable[[float], float], step: float, n: int, tol: float
+) -> tuple[float, float]:
+    """(x, f(x)) at the least value found: f is scanned at k step for k in
+    range(n), and its best scan point k is refined by golden-section search
+    on [(k-1) step, (k+1) step] down to width tol.  The scan point is kept
+    if it is lower than the refined one."""
+    scan = [f(k * step) for k in range(n)]
+    k = scan.index(min(scan))
+    a, b = (k - 1) * step, (k + 1) * step
 
-    ang_b must be non-decreasing.  Float addition is monotone, so the
-    feasible j of row i form a suffix j >= start, and the row minimum is
-    h_a[i] plus the suffix minimum of h_b.  Each row walks the start from
-    that of the previous row with the float test itself.
-    """
-    n = len(ang_b)
-    suffix = list(h_b)  # suffix[j] = min(h_b[j:])
-    for j in range(n - 2, -1, -1):
-        suffix[j] = min(suffix[j], suffix[j + 1])
-    best, bi, bs = math.inf, 0, n
-    s = n
-    for i, (a, h) in enumerate(zip(ang_a, h_a)):
-        while s > 0 and a + ang_b[s - 1] >= theta:
-            s -= 1
-        while s < n and a + ang_b[s] < theta:
-            s += 1
-        if s < n and h + suffix[s] < best:
-            best, bi, bs = h + suffix[s], i, s
-    if bs == n:
-        return math.inf, 0, 0
-    # the sums: ties after rounding go to the first j
-    j = next(j for j in range(bs, n) if h_a[bi] + h_b[j] == best)
-    return best, bi, j
-
-
-_HALF_PI = 0.5 * math.pi
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - gr * (b - a), a + gr * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > tol:
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - gr * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + gr * (b - a)
+            f2 = f(x2)
+    x = 0.5 * (a + b)
+    val = f(x)
+    if scan[k] < val:  # ties drift the search to the edge of a float-flat bottom
+        x, val = k * step, scan[k]
+    return x, val
 
 
 def grid_min(c: float, points_per_axis: int = 2001) -> OracleReport:
-    """Minimum of h_min(P_A) + h_min(P_B) over a grid on (0, 1]^2 restricted
-    to alpha_A + alpha_B >= arccos(c), where P = cos^2(alpha).
+    """Minimum of h_min(P_A) + h_min(P_B) subject to the raw Landau-Pollak
+    constraint alpha_A + alpha_B >= theta = arccos(c), where P = cos^2(alpha).
 
-    The grid is uniform in angle, alpha_i = i (pi/2) / n for i = 0..n-1
-    (P from 1 down to sin^2(pi/2n)), so it resolves the minimizer where
-    P_B -> 1 as well as anywhere else.  For even i the angle i (pi/2) / 2n
-    equals the angle of i/2 on the n grid bit for bit, so doubling
-    points_per_axis yields a nested superset and its raw minimum
-    (coarse_min) cannot increase.  One local pass of 201 angles per axis at
-    step/100, centred on the coarse argmin, sharpens the reported minimum
-    (the window around its mirror is the transpose).  points_per_axis is an
-    integer of at least 100.
+    h_min(p) decreases in p and cos^2 decreases on [0, pi/2], so the
+    objective increases in each angle and its minimum lies on the saturated
+    line alpha_A + alpha_B = theta.  There it is the 1-D function
+    f(alpha) = h_min(cos^2 alpha) + h_min(cos^2(theta - alpha)), scanned at
+    points_per_axis points of [0, theta] and refined by golden section to
+    1e-12 in alpha around the best point (_scan_golden).
+
+    The refinement may step up to one scan step outside [0, theta]; it needs
+    no clipping, because every real alpha gives a feasible pair.  cos^2 is
+    even and pi-periodic, so the pair's angles in [0, pi/2] are
+    d(alpha) and d(theta - alpha), with d the distance to the nearest
+    multiple of pi; by the triangle inequality on R / pi Z their sum is at
+    least d(theta) = theta, since theta <= pi/2.  So no point the search
+    visits can undercut the true minimum.
+
+    Independent of the path it checks: h_min re-derives the multiplicity
+    rule, and the constraint stays in angle form (no P_B(P_A) curve).
+    argmin is the pair (P_A, P_B) at the minimum; points_per_axis, the
+    number of scan points, is an integer of at least 100.
     """
     _check_unit(c, "overlap")
     if not isinstance(points_per_axis, numbers.Integral) or points_per_axis < 100:
@@ -186,20 +191,11 @@ def grid_min(c: float, points_per_axis: int = 2001) -> OracleReport:
         )
     n = points_per_axis
     theta = math.acos(c)
-    ang = [i * _HALF_PI / n for i in range(n)]
-    h = [_h_min(math.cos(a) ** 2) for a in ang]
-    coarse_val, bi, bj = _constrained_min(ang, h, ang, h, theta)
 
-    # the windows hold the coarse pair, so the local minimum is at most coarse_val
-    step = _HALF_PI / n
-    ang_a, ang_b = (
-        [min(max(x + (k - 100) * step / 100.0, 0.0), _HALF_PI) for k in range(201)]
-        for x in (ang[bi], ang[bj])
-    )
-    p_a, p_b = ([math.cos(a) ** 2 for a in w] for w in (ang_a, ang_b))
-    h_a, h_b = ([_h_min(p) for p in ps] for ps in (p_a, p_b))
-    val, i, j = _constrained_min(ang_a, h_a, ang_b, h_b, theta)
+    def f(alpha: float) -> float:
+        return _h_min(math.cos(alpha) ** 2) + _h_min(math.cos(theta - alpha) ** 2)
 
+    alpha, val = _scan_golden(f, theta / (n - 1), n, 1e-12)
     bound = b_vs(c)
     ref = m_inf(c) if bound.region.tag is RegionTag.MU else bound.nats
     return OracleReport(
@@ -207,14 +203,9 @@ def grid_min(c: float, points_per_axis: int = 2001) -> OracleReport:
         oracle_min=val,
         analytic_ref=ref,
         gap=val - ref,
-        argmin=(p_a[i], p_b[j]),
-        resolution=f"{n}x{n} grid uniform in angle + 201x201 local refinement at step/100",
-        coarse_min=coarse_val,
+        argmin=(math.cos(alpha) ** 2, math.cos(theta - alpha) ** 2),
+        resolution=f"{n}-point scan of alpha_A + alpha_B = theta + golden section to 1e-12",
     )
-
-
-def _qubit_objective(phi: float, theta: float) -> float:
-    return binary_entropy(math.cos(phi) ** 2) + binary_entropy(math.cos(theta - phi) ** 2)
 
 
 def qubit_min(c: float) -> OracleReport:
@@ -225,32 +216,16 @@ def qubit_min(c: float) -> OracleReport:
     pi/2 swaps cos and sin, which leaves both binary entropies unchanged, so
     a 500-point scan of phi over [0, pi/2) sees every state; its best point
     is refined by golden-section search to 1e-10 in phi, within one scan
-    step either side.  Dimension two forces c >= 1/sqrt(2).
+    step either side (_scan_golden).  Dimension two forces c >= 1/sqrt(2).
     """
     if not (INV_SQRT2 - 1e-12 <= c <= 1.0):
         raise DomainError(f"qubit_min requires 1/sqrt(2) <= c <= 1, got {c!r}")
     theta = math.acos(c)
-    step = _HALF_PI / 500
-    scan = [_qubit_objective(k * step, theta) for k in range(500)]
-    k = scan.index(min(scan))
-    a, b = (k - 1) * step, (k + 1) * step
 
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = b - gr * (b - a), a + gr * (b - a)
-    f1, f2 = _qubit_objective(x1, theta), _qubit_objective(x2, theta)
-    while b - a > 1e-10:
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - gr * (b - a)
-            f1 = _qubit_objective(x1, theta)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + gr * (b - a)
-            f2 = _qubit_objective(x2, theta)
-    phi_min = 0.5 * (a + b)
-    val = _qubit_objective(phi_min, theta)
-    if scan[k] < val:  # ties drift the search to the edge of a float-flat bottom
-        phi_min, val = k * step, scan[k]
+    def f(phi: float) -> float:
+        return binary_entropy(math.cos(phi) ** 2) + binary_entropy(math.cos(theta - phi) ** 2)
+
+    phi_min, val = _scan_golden(f, 0.5 * math.pi / 500, 500, 1e-10)
     ref = b_vs(c).nats
     return OracleReport(
         c=c,

@@ -1,6 +1,7 @@
 """CLI behavior: output formats, CSV contract, exit codes, configuration."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -480,13 +481,41 @@ class TestVerify:
         assert code == 0
         assert out.startswith("PASS qubit c=1 |oracle-analytic| = 0.000e+00 (tol 0)")
 
-    def test_tight_tolerance_fails_exit_4(self, capsys):
-        # grid resolution cannot meet 1e-9: surfaced as FAIL, not hidden
-        code, out, _ = run_cli(
-            capsys, "verify", "--suite", "grid", "--c", "0.9", "--tol", "1e-9"
-        )
+    @staticmethod
+    def raise_bound(monkeypatch, by):
+        """Make the bound the grid oracle checks against too high by `by`."""
+        b_vs = oracle.b_vs
+
+        def raised(c):
+            report = b_vs(c)
+            return dataclasses.replace(report, nats=report.nats + by)
+
+        monkeypatch.setattr(oracle, "b_vs", raised)
+
+    def test_raised_bound_fails_exit_4(self, capsys, monkeypatch):
+        # a bound wrong by 1e-7 in the H1 and F regions is caught at the default tolerance
+        self.raise_bound(monkeypatch, 1e-7)
+        argv = ["verify", "--suite", "grid", "--c-list", "0.75", "0.8", "0.9"]
+        code, out, _ = run_cli(capsys, *argv)
+        lines = out.splitlines()
         assert code == 4
-        assert "FAIL" in out
+        assert [line.split(" |")[0] for line in lines[:-1]] == [
+            "FAIL grid c=0.75",
+            "FAIL grid c=0.8",
+            "FAIL grid c=0.9",
+        ]
+        assert lines[-1] == "RESULT: 0 passed, 3 failed"
+
+    def test_tight_tolerance_fails_exit_4(self, capsys, monkeypatch):
+        # a gap of 1e-7 passes at tol 1e-6 and is surfaced as FAIL at 1e-8
+        self.raise_bound(monkeypatch, 1e-7)
+        argv = ["verify", "--suite", "grid", "--c", "0.9", "--tol"]
+        code, out, _ = run_cli(capsys, *argv, "1e-6")
+        assert code == 0
+        assert out.startswith("PASS grid c=0.9 |oracle-analytic| = 1.000e-07 (tol 1e-06)")
+        code, out, _ = run_cli(capsys, *argv, "1e-8")
+        assert code == 4
+        assert out.startswith("FAIL grid c=0.9 |oracle-analytic| = 1.000e-07 (tol 1e-08)")
 
     def test_random_suite_seeded(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "random", "--seed", "3")
@@ -512,7 +541,9 @@ class TestConfigPrecedence:
     def test_env_tolerance_applies(self, capsys, monkeypatch):
         monkeypatch.setenv("EUR_TOL", "1e-12")
         code, out, _ = run_cli(capsys, "verify", "--suite", "grid", "--c", "0.9")
-        assert code == 4  # default 2e-3 would pass; the env override is active
+        assert code == 0
+        assert out.startswith("PASS grid c=0.9 ")
+        assert "(tol 1e-12)" in out  # the env override is active, not the default 1e-9
 
 
 class TestExitCodes:

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from eur import cli, core, oracle, solve
 from eur.errors import DomainError, EurError, VerificationError
@@ -47,48 +48,6 @@ def dense_min(ang_a, h_a, ang_b, h_b, theta):
         if v < best[0]:
             best = (v, i, row.index(v))
     return best
-
-
-def dense_min_array(ang_a, h_a, ang_b, h_b, theta):
-    """dense_min on numpy tables: np.add.outer and >= round as the float +
-    and >= of the list version, and argmin breaks ties row-major."""
-    table = np.add.outer(h_a, h_b)
-    table[np.add.outer(ang_a, ang_b) < theta] = np.inf
-    k = int(np.argmin(table))
-    i, j = divmod(k, len(ang_b))
-    return float(table[i, j]), i, j
-
-
-def reference_grid_min(c, points_per_axis, dense=dense_min):
-    """grid_min by dense scans on the same angle grid: the full n x n table,
-    then the full 201 x 201 table around the coarse argmin.  The table
-    around its mirror is the transpose (float + commutes), so it is not
-    scanned."""
-    n = points_per_axis
-    theta = math.acos(c)
-    half_pi = math.pi / 2
-    ang = [i * half_pi / n for i in range(n)]
-    h = [oracle._h_min(math.cos(a) ** 2) for a in ang]
-    coarse_val, bi, bj = dense(ang, h, ang, h, theta)
-    step = half_pi / n
-    a, b = (
-        [min(max(x + (k - 100) * step / 100.0, 0.0), half_pi) for k in range(201)]
-        for x in (ang[bi], ang[bj])
-    )
-    p_a, p_b = [math.cos(x) ** 2 for x in a], [math.cos(x) ** 2 for x in b]
-    h_a, h_b = [oracle._h_min(p) for p in p_a], [oracle._h_min(p) for p in p_b]
-    fine_val, i, j = dense(a, h_a, b, h_b, theta)
-    fine_arg = (p_a[i], p_b[j])
-    ref = oracle.b_vs(c).nats if c >= core.INV_SQRT2 else oracle.m_inf(c)
-    return oracle.OracleReport(
-        c=c,
-        oracle_min=fine_val,
-        analytic_ref=ref,
-        gap=fine_val - ref,
-        argmin=fine_arg,
-        resolution=f"{n}x{n} grid uniform in angle + 201x201 local refinement at step/100",
-        coarse_min=coarse_val,
-    )
 
 
 def reference_sign_changes(values):
@@ -177,6 +136,44 @@ _SPECIAL_OVERLAPS = [
     math.nextafter(1.0, 0.0),
     1.0,
 ]
+# one ulp below 1/sqrt(2) the MU check `oracle_min < b_mu` has a margin of
+# 2e-16 (b_mu - m_inf); c_star - 1 ulp (H1) and c_star (F)
+_PINNED = [
+    0.7071067811865475,
+    core.INV_SQRT2,
+    math.nextafter(core.INV_SQRT2, 1.0),
+    0.8335565596009646,
+    0.8335565596009648,
+]
+
+
+def mp_line_min(c):
+    """grid_min's minimum re-derived at 30 digits: h_min(cos^2 a) +
+    h_min(cos^2(theta - a)) is symmetric about theta/2, so a 200-point scan
+    of [0, theta/2] and a golden section to 1e-20 around its best point."""
+    with mp.workdps(30):
+        theta = mp.acos(mpf(c))
+
+        def h_min(p):
+            m = mp.floor(1 / p)
+            rem = 1 - m * p
+            return -m * p * mp.log(p) - (rem * mp.log(rem) if rem > 0 else 0)
+
+        def f(a):
+            return h_min(mp.cos(a) ** 2) + h_min(mp.cos(theta - a) ** 2)
+
+        step = theta / 2 / 199
+        scan = [f(k * step) for k in range(200)]
+        k = scan.index(min(scan))
+        lo, hi = max(k - 1, 0) * step, min(k + 1, 199) * step
+        gr = (mp.sqrt(5) - 1) / 2
+        while hi - lo > mpf("1e-20"):
+            x1, x2 = hi - gr * (hi - lo), lo + gr * (hi - lo)
+            if f(x1) < f(x2):
+                hi = x2
+            else:
+                lo = x1
+        return float(min(f((lo + hi) / 2), scan[k]))
 
 
 class TestGridMin:
@@ -184,31 +181,38 @@ class TestGridMin:
         rep = oracle.grid_min(0.9, points_per_axis=501)
         assert abs(rep.gap) <= 5e-3
         assert rep.analytic_ref == pytest.approx(core.f_bound(0.9), abs=1e-14)
-        assert rep.coarse_min >= rep.oracle_min
 
     def test_relaxed_region_reaches_endpoint_infimum(self):
         rep = oracle.grid_min(0.5, points_per_axis=501)
         assert rep.oracle_min <= core.m_inf(0.5) + 5e-3
         assert rep.oracle_min < core.b_mu(0.5)
 
-    @pytest.mark.parametrize("c", [0.5, 0.636985, 0.7, 0.9])
-    def test_nested_coarse_minimum(self, c):
-        # for even i the angle i (pi/2) / 2n equals angle i/2 of the n grid
-        # bit for bit: the raw grid minimum cannot increase
-        small = oracle.grid_min(c, points_per_axis=400)
-        large = oracle.grid_min(c, points_per_axis=800)
-        assert large.coarse_min <= small.coarse_min
+    def test_exact_across_the_domain(self):
+        # 200 seeded overlaps plus the region edges: the 1-D minimum meets
+        # the bound to 1e-10 in H1 and F, and the endpoint infimum in MU
+        rng = random.Random(16)
+        overlaps = [1.0 - rng.random() for _ in range(200)] + _SPECIAL_OVERLAPS + _PINNED
+        for c in overlaps:
+            rep = oracle.grid_min(c)
+            if solve.classify_region(c).tag is solve.RegionTag.MU:
+                assert rep.gap <= 1e-10 and rep.oracle_min < core.b_mu(c), c
+            else:
+                assert abs(rep.gap) <= 1e-10, c
+
+    @pytest.mark.parametrize("c", [0.3, 0.65, 0.75, 0.8, 0.9, 0.99])
+    def test_agrees_with_mpmath(self, c):
+        assert oracle.grid_min(c).oracle_min == pytest.approx(mp_line_min(c), abs=1e-10)
 
     @pytest.mark.parametrize("n", [100, 101, 301])
-    def test_equals_dense_scans(self, n):
-        overlaps = [k / 100 for k in range(1, 101)] + [0.645, 0.7, 0.707] + _SPECIAL_OVERLAPS
+    def test_dense_scan_never_below(self, n):
+        # every feasible pair of an n x n angle grid is a point the 1-D
+        # minimum must not exceed
+        overlaps = [0.05, 0.3, 0.5, 0.636985, 0.7, 0.75, 0.8, 0.9, 0.95] + _SPECIAL_OVERLAPS
+        ang = [i * (math.pi / 2) / n for i in range(n)]
+        h = [oracle._h_min(math.cos(a) ** 2) for a in ang]
         for c in overlaps:
-            assert oracle.grid_min(c, n) == reference_grid_min(c, n), c
-
-    def test_equals_dense_scans_default_grid(self):
-        overlaps = [0.3, 0.636985, 0.645, 0.7, 0.707, 0.8, 0.95] + _SPECIAL_OVERLAPS
-        for c in overlaps:
-            assert oracle.grid_min(c) == reference_grid_min(c, 2001, dense_min_array), c
+            dense = dense_min(ang, h, ang, h, math.acos(c))[0]
+            assert dense >= oracle.grid_min(c).oracle_min - 1e-10, c
 
     def test_argmin_feasible(self):
         rep = oracle.grid_min(0.8, points_per_axis=301)
@@ -216,14 +220,16 @@ class TestGridMin:
         theta = math.acos(0.8)
         assert math.acos(math.sqrt(pa)) + math.acos(math.sqrt(pb)) >= theta - 1e-12
 
-    # 50 overlaps over (0, 1], the old failure window near 1/sqrt(2) and the ends
+    # 50 overlaps over (0, 1], the old failure window near 1/sqrt(2), the
+    # ulps around 1/sqrt(2) and c_star, and the ends
     def test_passes_across_the_domain(self, capsys):
         overlaps = [k / 50 for k in range(1, 51)] + [0.636985, 0.70, 0.707, 0.7071, 1e-4, 1.0]
+        overlaps += _PINNED
         code = cli.main(["verify", "--suite", "grid", "--c-list", *map(repr, overlaps)])
         lines = capsys.readouterr().out.splitlines()
         assert code == 0
         assert lines[-1] == f"RESULT: {len(overlaps)} passed, 0 failed"
-        assert all(line.startswith("PASS grid ") and "(tol 0.002)" in line for line in lines[:-1])
+        assert all(line.startswith("PASS grid ") and "(tol 1e-09)" in line for line in lines[:-1])
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -244,59 +250,21 @@ class TestGridMin:
             assert oracle._h_min(p) == pytest.approx(core.h_min(p), abs=1e-12), p
 
 
-class TestConstrainedMin:
-    def test_rounding_boundaries_and_repeated_values(self):
-        # theta within an ulp of a float sum of two angles puts rows on the
-        # edge, where theta - ang_a rounds to the wrong side; clipping and
-        # rounding repeat angles and h values
-        rng = random.Random(11)
-        grows = shrinks = 0
-        for _ in range(300):
-            ang_a = [rng.uniform(0.0, 1.6) for _ in range(40)]
-            ang_b = sorted(min(max(rng.uniform(-0.2, 1.8), 0.0), 1.6) for _ in range(30))
-            h_a = [round(rng.uniform(0.0, 2.0), 1) for _ in range(40)]
-            h_b = [round(rng.uniform(0.0, 2.0), 1) for _ in range(30)]
-            edge = rng.choice(ang_a) + rng.choice(ang_b)
-            theta = math.nextafter(edge, rng.choice([0.0, edge, 4.0]))
-            got = oracle._constrained_min(ang_a, h_a, ang_b, h_b, theta)
-            assert got == dense_min(ang_a, h_a, ang_b, h_b, theta)
-            assert got == dense_min_array(ang_a, h_a, ang_b, h_b, theta)
-            exact = [sum(a + b >= theta for b in ang_b) for a in ang_a]
-            rounded = [sum(b >= theta - a for b in ang_b) for a in ang_a]
-            grows += any(e > r for e, r in zip(exact, rounded))
-            shrinks += any(e < r for e, r in zip(exact, rounded))
-        assert grows > 0 and shrinks > 0  # rounded theta - a missed the float test both ways
+class TestScanGolden:
+    def test_refines_between_scan_points(self):
+        x, val = oracle._scan_golden(lambda x: (x - 0.123456789) ** 2, 0.01, 100, 1e-12)
+        assert x == pytest.approx(0.123456789, abs=1e-12)
+        assert val <= 1e-24
 
-    def test_repeated_angles_on_the_boundary(self):
-        # the block of equal angles 0.25 is feasible as a whole or not at all,
-        # including where theta - a rounds across it
-        ang_b = [0.0, 0.25, 0.25, 0.25, 1.0]
-        h_b = [0.0, 0.5, 1.0, 2.0, 3.0]
-        rng = random.Random(3)
-        rounded_across = set()
-        for _ in range(400):
-            a = rng.uniform(0.05, 0.9)
-            edge = a + 0.25
-            for theta in (edge, math.nextafter(edge, 4.0)):
-                feasible = a + 0.25 >= theta
-                rounded_across.add((feasible, theta - a >= 0.25))
-                expected = (0.5, 0, 1) if feasible else (3.0, 0, 4)
-                assert oracle._constrained_min([a], [0.0], ang_b, h_b, theta) == expected
-                assert dense_min([a], [0.0], ang_b, h_b, theta) == expected
-        assert {(True, False), (False, True)} <= rounded_across
+    def test_keeps_a_lower_scan_point(self):
+        # a dip at scan point 3 too narrow for the golden section to land on
+        step = 0.01
 
-    def test_sums_tie_only_after_rounding(self):
-        # 1 + 2^-53 rounds to 1: the first j of the row wins, as in 2-D,
-        # though h_b alone is smaller at j = 1
-        ang = [0.5, 1.0]
-        h_a, h_b = [1.0, 1.0], [2.0**-53, 0.0]
-        assert oracle._constrained_min(ang, h_a, ang, h_b, 0.0) == (1.0, 0, 0)
-        assert dense_min(ang, h_a, ang, h_b, 0.0) == (1.0, 0, 0)
+        def f(x):
+            return -1.0 if x == 3 * step else abs(x - 0.031)
 
-    def test_no_feasible_pair(self):
-        ang, h = [0.2, 0.5], [2.0, 1.0]
-        assert oracle._constrained_min(ang, h, ang, h, 1.5) == (math.inf, 0, 0)
-        assert dense_min(ang, h, ang, h, 1.5) == (math.inf, 0, 0)
+        x, val = oracle._scan_golden(f, step, 10, 1e-10)
+        assert (x, val) == (3 * step, -1.0)
 
 
 class TestQubitMin:

@@ -2,8 +2,8 @@
 
 The literals asserted across the test suite were produced by exactly these
 expressions; this module keeps that derivation executable so a transcription
-error cannot survive unnoticed.  mpmath is used only here, never by the
-package itself.
+error cannot survive unnoticed.  mpmath is never used by the package
+itself.
 """
 
 import pytest
