@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import core, solve
 from .errors import BracketError, ConvergenceError, DomainError, EurError, VerificationError
@@ -90,6 +88,8 @@ def _row(c: float, bits: bool) -> tuple[list, str, Optional[tuple[float, float]]
 
 def _print_record(rec: dict, as_json: bool) -> None:
     if as_json:
+        import json
+
         print(json.dumps(rec))
         return
     width = max(len(k) for k in rec)
@@ -113,6 +113,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_constants(args: argparse.Namespace) -> int:
     rows = {"c_star": solve.c_star(), "c_dagger": solve.c_dagger()}
     if args.json:
+        import json
+
         print(
             json.dumps(
                 {
@@ -165,6 +167,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_critique(args: argparse.Namespace) -> int:
     report = solve.critique_report(args.c)
     if args.json:
+        import json
+
         print(
             json.dumps(
                 {
@@ -172,7 +176,7 @@ def cmd_critique(args: argparse.Namespace) -> int:
                     "theta": report.theta,
                     "interval_lo": report.interval[0],
                     "interval_hi": report.interval[1],
-                    "roots": [asdict(r) for r in report.roots],
+                    "roots": [r._asdict() for r in report.roots],
                 }
             )
         )
@@ -191,8 +195,7 @@ def cmd_critique(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One line of `eur verify` output; passed=None marks an INFO line."""
 
     suite: str

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, SingularValueError
 
@@ -61,8 +60,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AdmissibleInterval:
+class AdmissibleInterval(NamedTuple):
     """Open interval (lo, hi) of P_A values compatible with a saturated
     Landau-Pollak constraint at unit multiplicity."""
 

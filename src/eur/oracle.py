@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
 
 from .core import (
     INV_SQRT2,
@@ -76,8 +75,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     c: float
     oracle_min: float
     analytic_ref: float
@@ -86,8 +84,7 @@ class OracleReport:
     resolution: str
 
 
-@dataclass(frozen=True)
-class RandomStateSummary:
+class RandomStateSummary(NamedTuple):
     dim: int
     samples: int
     seed: int
@@ -96,8 +93,7 @@ class RandomStateSummary:
     argmin_overlap: float
 
 
-@dataclass(frozen=True)
-class ShapeSummary:
+class ShapeSummary(NamedTuple):
     c: float
     region: str
     e1_sign_changes: int

@@ -16,10 +16,9 @@ P_A = cos^2(alpha), P_B = cos^2(theta - alpha)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     INV_SQRT2,
@@ -59,8 +58,7 @@ BRACKET_INSET = 1e-6
 _MAX_ITER = 200  # iteration cap of the Brent kernel _brent
 
 
-@dataclass(frozen=True)
-class RootResult:
+class RootResult(NamedTuple):
     root: float
     bracket: tuple[float, float]
     residual: float
@@ -76,24 +74,21 @@ class RegionTag(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     tag: RegionTag
 
 
 _MU, _H1, _F = (Region(tag) for tag in RegionTag)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     c: float
     nats: float
     region: Region
     witness: Optional[tuple[float, float]]  # extremizing (P_A, P_B) if any
 
 
-@dataclass(frozen=True)
-class CritiqueRoot:
+class CritiqueRoot(NamedTuple):
     alpha: float
     p_a: float
     p_b: float
@@ -102,8 +97,7 @@ class CritiqueRoot:
     violated_constraint: Optional[str]
 
 
-@dataclass(frozen=True)
-class CritiqueReport:
+class CritiqueReport(NamedTuple):
     c: float
     theta: float
     interval: tuple[float, float]

@@ -79,7 +79,7 @@ def test_criterion_04_grid_oracle_equivalence():
         t0 = time.perf_counter()
         rep = oracle.grid_min(c, points_per_axis=2001)
         dt = time.perf_counter() - t0
-        good = abs(rep.gap) <= 2e-3 and dt < 60.0
+        good = abs(rep.gap) <= 1e-9 and dt < 60.0
         ok &= good
         details.append(f"c={c}: gap={rep.gap:+.2e} ({dt:.1f}s)")
     for c in (0.3, 0.5, 0.65):
@@ -87,7 +87,7 @@ def test_criterion_04_grid_oracle_equivalence():
         rep = oracle.grid_min(c, points_per_axis=2001)
         dt = time.perf_counter() - t0
         good = (
-            rep.oracle_min <= core.m_inf(c) + 2e-3
+            rep.oracle_min <= core.m_inf(c) + 1e-9
             and rep.oracle_min < core.b_mu(c)
             and dt < 60.0
         )

@@ -1,7 +1,6 @@
 """CLI behavior: output formats, CSV contract, exit codes, configuration."""
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -358,6 +357,15 @@ class TestCritique:
         assert len(rec["roots"]) >= 1
         assert all(not r["admissible"] for r in rec["roots"])
 
+    def test_json_key_order(self, capsys):
+        code, out, _ = run_cli(capsys, "critique", "--c", "0.6", "--json")
+        assert code == 0
+        rec = json.loads(out)
+        assert list(rec) == ["c", "theta", "interval_lo", "interval_hi", "roots"]
+        assert rec["roots"]
+        for root in rec["roots"]:
+            assert list(root) == ["alpha", "p_a", "p_b", "residual", "admissible", "violated_constraint"]
+
     def test_outside_domain_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "critique", "--c", "0.75")
         assert code == 2
@@ -488,7 +496,7 @@ class TestVerify:
 
         def raised(c):
             report = b_vs(c)
-            return dataclasses.replace(report, nats=report.nats + by)
+            return report._replace(nats=report.nats + by)
 
         monkeypatch.setattr(oracle, "b_vs", raised)
 

@@ -1,6 +1,5 @@
 """Tests for the brute-force verification oracles."""
 
-import dataclasses
 import math
 import random
 
@@ -390,7 +389,7 @@ class TestRandomStateCheck:
         def raised(c):
             rep = real(c)
             if rep.region.tag.name in regions:
-                return dataclasses.replace(rep, nats=rep.nats + delta)
+                return rep._replace(nats=rep.nats + delta)
             return rep
 
         monkeypatch.setattr(oracle, "b_vs", raised)

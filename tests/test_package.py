@@ -1,7 +1,6 @@
 """The package's public names and the documentation of its front end."""
 
 import argparse
-import dataclasses
 import inspect
 import itertools
 import math
@@ -22,10 +21,12 @@ ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
 
 
-def _fresh_python(code, cwd):
+def _fresh_python(code, cwd, *flags):
     """Run `code` in a new interpreter that imports eur from this checkout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
     assert proc.returncode == 0, proc.stderr
 
 
@@ -99,6 +100,69 @@ assert "eur.oracle" not in sys.modules and "numpy" not in sys.modules
     _fresh_python(code, tmp_path)
 
 
+def test_cli_loads_neither_dataclasses_nor_json(tmp_path):
+    """`import eur.cli` and `import eur.oracle` load none of the heavy
+    standard modules, and only a --json command loads json.  -S keeps
+    site-packages hooks from loading any of them first."""
+    code = """
+import contextlib, io, sys
+HEAVY = {"dataclasses", "inspect", "ast", "dis", "json"}
+assert not HEAVY & set(sys.modules)
+
+def added(step):
+    before = set(sys.modules)
+    step()
+    return HEAVY & (set(sys.modules) - before)
+
+def run(*argv):
+    from eur import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0
+
+assert added(lambda: __import__("eur.cli")) == set()
+assert added(lambda: __import__("eur.oracle")) == set()
+for argv in (["eval", "--c", "0.8"], ["constants"], ["critique", "--c", "0.6"]):
+    run(*argv)
+    assert "json" not in sys.modules, argv
+assert added(lambda: run("eval", "--c", "0.8", "--json")) == {"json"}
+"""
+    _fresh_python(code, tmp_path, "-S")
+
+
+# each record's fields, in the order that positional construction and unpacking rely on
+_RECORD_FIELDS = {
+    eur.AdmissibleInterval: ("lo", "hi"),
+    eur.RootResult: ("root", "bracket", "residual", "iterations"),
+    eur.Region: ("tag",),
+    eur.BoundReport: ("c", "nats", "region", "witness"),
+    eur.CritiqueRoot: ("alpha", "p_a", "p_b", "residual", "admissible", "violated_constraint"),
+    eur.CritiqueReport: ("c", "theta", "interval", "roots"),
+    oracle.OracleReport: ("c", "oracle_min", "analytic_ref", "gap", "argmin", "resolution"),
+    oracle.RandomStateSummary: ("dim", "samples", "seed", "min_margin", "argmin_index", "argmin_overlap"),
+    oracle.ShapeSummary: ("c", "region", "e1_sign_changes", "n_zero_at", "k_endpoint_gap", "extremum"),
+    cli.Check: ("suite", "passed", "text"),
+}
+
+
+@pytest.mark.parametrize("record", _RECORD_FIELDS, ids=lambda record: record.__name__)
+def test_records_are_immutable_named_tuples(record):
+    fields = _RECORD_FIELDS[record]
+    assert issubclass(record, tuple)
+    assert record._fields == fields
+    value = record._make(range(len(fields)))
+    assert value == tuple(range(len(fields)))
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+
+def test_readme_shows_the_bound_report_repr():
+    block = README.split("## Library", 1)[1].split("```")[1]
+    lines = block.split("report = b_vs(0.8)", 1)[1].splitlines()
+    comment = [lines[0]] + list(itertools.takewhile(lambda line: line.lstrip().startswith("#   "), lines[1:]))
+    assert " ".join(line.split("#", 1)[1].strip() for line in comment) == repr(eur.b_vs(0.8))
+
+
 def _special_floats():
     out = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-300, 1e-160, 1e-13, 0.5, 2.0]
     out += [1e155, 1e308, sys.float_info.max]
@@ -108,12 +172,10 @@ def _special_floats():
 
 
 def _non_finite_floats(value):
-    """Every float inside value, a record of nested tuples, lists and
-    dataclasses, that is not finite."""
+    """Every float inside value, a record (a named tuple) of nested tuples
+    and lists, that is not finite."""
     if isinstance(value, float):
         return [] if math.isfinite(value) else [value]
-    if dataclasses.is_dataclass(value):
-        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
     if isinstance(value, (tuple, list)):
         return [x for v in value for x in _non_finite_floats(v)]
     return []
@@ -154,6 +216,13 @@ def _contract_breach(name, args):
     if non_finite and not (allowed and non_finite == [-math.inf]):
         return value
     return None
+
+
+def test_non_finite_floats_visits_record_fields():
+    region = eur.classify_region(0.8)
+    [nan] = _non_finite_floats(eur.BoundReport(0.8, math.nan, region, (0.5, 0.5)))
+    assert math.isnan(nan)
+    assert _non_finite_floats(eur.BoundReport(0.8, 0.5, region, (0.5, math.inf))) == [math.inf]
 
 
 def test_special_floats_give_finite_values_or_eur_errors():
