@@ -267,11 +267,7 @@ def _random_checks(c_list, tol, grid_n, seed) -> Iterator[Check]:
     from . import oracle
 
     for dim in _RANDOM_DIMS:
-        try:
-            summary = oracle.random_state_check(dim, _RANDOM_SAMPLES, seed)
-        except VerificationError as exc:
-            yield Check("random", False, f"dim={dim} {exc}")
-            continue
+        summary = oracle.random_state_check(dim, _RANDOM_SAMPLES, seed)
         yield Check(
             "random",
             summary.min_margin >= -tol,

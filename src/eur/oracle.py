@@ -10,20 +10,19 @@ Five checks, each attacking the closed-form results from a different side:
   * qubit_min         -- exact two-dimensional state-space sweep: the entropy
                          sum over states (cos phi, sin phi) against bases at
                          relative angle theta;
-  * random_state_check-- random bases and states in dimension N, asserting
-                         the piecewise bound is respected sample by sample;
-                         samples are drawn and measured in batches, and a
-                         knot-table screen (sound where the bound is
-                         monotone between knots) leaves the exact bound to
-                         the few samples that can be the minimum or a
-                         violation;
+  * random_state_check-- random bases and states in dimension N, reporting
+                         the tightest margin of the entropy sum over the
+                         piecewise bound; samples are drawn and measured in
+                         batches, and a knot-table screen (sound where the
+                         bound is monotone between knots) leaves the exact
+                         bound to the few samples that can be the minimum;
   * shape_check       -- sampled monotonicity / sign-structure assertions on
                          the auxiliary curves (slope, curvature, their
                          controls) plus the extremum character of the
                          constrained objective;
   * boundary_case_min -- the two boundary candidate families (P_A = 1 and
-                         reciprocal lattice pairs), asserting neither beats
-                         the piecewise bound.
+                         reciprocal lattice pairs), with the signed gap of
+                         the better one over the piecewise bound.
 
 grid_min and qubit_min share one 1-D minimizer, a scan refined by golden
 section (_scan_golden).  Only random_state_check uses numpy, which it
@@ -238,7 +237,6 @@ def qubit_min(c: float) -> OracleReport:
 _RANDOM_CHUNK = 128
 _BOUND_KNOTS = 1024  # screen knots i/_BOUND_KNOTS, i = 1.._BOUND_KNOTS
 _SCREEN_SLACK = 1e-9  # covers float noise of the bound inside a cell
-_VIOLATION_TOL = 1e-9
 
 
 def _draw_samples(rng: np.random.Generator, dim: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -288,24 +286,24 @@ def _bound_cells(bound: Callable[[float], BoundReport]) -> tuple[np.ndarray, np.
 
 
 def random_state_check(dim: int, samples: int, seed: int) -> RandomStateSummary:
-    """Draw random bases and pure states, asserting every sample respects the
-    piecewise bound at the measured overlap.
+    """Draw random bases and pure states, and report the least margin
+    H(A) + H(B) - bound over the samples, at each sample's measured overlap.
 
     Each sample orthonormalizes a complex standard-normal matrix into the
     second basis (the first is computational), measures c as the largest
     absolute matrix element, draws a normalized complex standard-normal
-    state, and requires H(A) + H(B) >= bound - 1e-9.
+    state, and takes its margin over b_vs(c).  A negative margin is a
+    violation of the bound; judging it against a tolerance is the caller's.
 
     Samples are drawn and measured _RANDOM_CHUNK at a time (_draw_samples).
     A screen then bounds each margin from below with the knot table of
     _bound_cells, and the exact bound is evaluated only for samples whose
-    lower bound could still be the minimum or a violation.  The screen is
-    sound wherever the bound is monotone inside each knot cell; the result
-    equals that of evaluating every sample exactly, one after another.
-    dim (at least 2), samples (at least 1) and seed (non-negative) are
-    integers; for a fixed seed the result is bit-reproducible on a given
-    numpy/BLAS build.  Raises VerificationError naming the first violating
-    sample.
+    lower bound could still be the minimum.  The screen is sound wherever
+    the bound is monotone inside each knot cell; the result equals that of
+    evaluating every sample exactly, one after another, with ties going to
+    the lower index.  dim (at least 2), samples (at least 1) and seed
+    (non-negative) are integers; for a fixed seed the result is
+    bit-reproducible on a given numpy/BLAS build.
     """
     if not isinstance(dim, numbers.Integral) or dim < 2:
         raise DomainError(f"dim must be an integer of at least 2, got {dim!r}")
@@ -325,21 +323,11 @@ def random_state_check(dim: int, samples: int, seed: int) -> RandomStateSummary:
         p_b = np.abs((q.conj().swapaxes(-1, -2) @ psi[..., None])[..., 0]) ** 2
         entropy_sum = _entropy_rows(p_a) + _entropy_rows(p_b)
         lower = entropy_sum - upper[np.searchsorted(knots, c)]
-        violations = []
         for j in np.argsort(lower, kind="stable"):
-            if lower[j] > best[0] and lower[j] >= -_VIOLATION_TOL:
-                break  # no later sample of the chunk can be the minimum or a violation
-            idx, cj, ent = start + int(j), float(c[j]), float(entropy_sum[j])
-            margin = ent - b_vs(cj).nats
-            best = min(best, (margin, idx, cj))
-            if margin < -_VIOLATION_TOL:
-                violations.append((idx, ent, cj, margin))
-        if violations:
-            idx, ent, cj, margin = min(violations)
-            raise VerificationError(
-                f"bound violated at sample {idx} (seed {seed}, dim {dim}): "
-                f"H(A)+H(B) = {ent} < bound at c = {cj} by {-margin}"
-            )
+            if lower[j] > best[0]:
+                break  # no later sample of the chunk can be the minimum
+            cj = float(c[j])
+            best = min(best, (float(entropy_sum[j]) - b_vs(cj).nats, start + int(j), cj))
     return RandomStateSummary(
         dim=dim,
         samples=samples,
@@ -453,8 +441,9 @@ def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
 
 def boundary_case_min(c: float) -> OracleReport:
     """Minimum over the boundary candidate families for c > 1/sqrt(2): the
-    pair (P_A, P_B) = (1, c^2) and the reciprocal lattice pairs.  Asserts the
-    result does not undercut the piecewise bound (they tie only at c = 1)."""
+    pair (P_A, P_B) = (1, c^2) and the reciprocal lattice pairs.  The signed
+    gap is negative where a candidate undercuts the piecewise bound (they tie
+    only at c = 1); no exception is raised for it."""
     if not (INV_SQRT2 < c <= 1.0):
         raise DomainError(f"boundary_case_min requires 1/sqrt(2) < c <= 1, got {c!r}")
     g = g_bound(c)
@@ -466,10 +455,6 @@ def boundary_case_min(c: float) -> OracleReport:
         val = lat
         arg = (1.0, 1.0 / _lattice_multiplicity(c))
     ref = b_vs(c).nats
-    if val < ref - 1e-12:
-        raise VerificationError(
-            f"boundary candidate {val} undercuts the piecewise bound {ref} at c = {c}"
-        )
     return OracleReport(
         c=c,
         oracle_min=val,

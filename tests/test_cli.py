@@ -419,18 +419,18 @@ class TestVerify:
     def test_random_failure_is_reported_per_dimension(self, capsys, monkeypatch):
         calls = []
 
-        def boom(dim, samples, seed):
+        def violated(dim, samples, seed):
             calls.append((dim, samples, seed))
-            raise VerificationError("boom")
+            return oracle.RandomStateSummary(dim, samples, seed, -2.5e-3, 42, 0.75)
 
-        monkeypatch.setattr(oracle, "random_state_check", boom)
+        monkeypatch.setattr(oracle, "random_state_check", violated)
         code, out, _ = run_cli(capsys, "verify", "--suite", "random")
         assert code == 4
         assert out.splitlines() == [
-            "FAIL random dim=2 boom",
-            "FAIL random dim=3 boom",
-            "FAIL random dim=4 boom",
-            "FAIL random dim=5 boom",
+            *(
+                f"FAIL random dim={dim} samples=10000 tightest margin = -2.500e-03 at c = 0.7500"
+                for dim in (2, 3, 4, 5)
+            ),
             "RESULT: 0 passed, 4 failed",
         ]
         assert calls == [(dim, 10_000, 1234) for dim in (2, 3, 4, 5)]
@@ -491,7 +491,7 @@ class TestVerify:
 
     @staticmethod
     def raise_bound(monkeypatch, by):
-        """Make the bound the grid oracle checks against too high by `by`."""
+        """Make the bound the oracles check against too high by `by`."""
         b_vs = oracle.b_vs
 
         def raised(c):
@@ -524,6 +524,25 @@ class TestVerify:
         code, out, _ = run_cli(capsys, *argv, "1e-8")
         assert code == 4
         assert out.startswith("FAIL grid c=0.9 |oracle-analytic| = 1.000e-07 (tol 1e-08)")
+
+    def test_tolerance_decides_the_random_suite(self, capsys, monkeypatch):
+        # at seed 7 the dim=2 margin is 2.9e-5, so a bound raised by 1e-4
+        # undercuts it by about 7e-5: inside 1e-3, outside the default 1e-9
+        self.raise_bound(monkeypatch, 1e-4)
+        argv = ["verify", "--suite", "random", "--seed", "7"]
+        code, out, _ = run_cli(capsys, *argv, "--tol", "1e-3")
+        assert code == 0
+        assert out.count("PASS random") == 4
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 4
+        lines = out.splitlines()
+        assert lines[0].startswith("FAIL random dim=2 samples=10000 tightest margin = -")
+        assert [line.split(" samples")[0] for line in lines[1:4]] == [
+            "PASS random dim=3",
+            "PASS random dim=4",
+            "PASS random dim=5",
+        ]
+        assert lines[-1] == "RESULT: 3 passed, 1 failed"
 
     def test_random_suite_seeded(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "random", "--seed", "3")
