@@ -41,6 +41,10 @@ _EXIT_CODES = {
 # One row of `eval` and `sweep`; every column after theta is an entropy.
 _COLUMNS = ("c", "theta", "b_mu", "f", "g", "lattice", "m_inf", "h1", "b_vs")
 
+# The region tags, looked up once: on CPython 3.11 each lookup of an Enum
+# member takes about 0.15 us, and a sweep row would make five.
+_MU, _H1, _F = solve.RegionTag
+
 _RANDOM_DIMS = (2, 3, 4, 5)
 _RANDOM_SAMPLES = 10_000
 _DEFAULT_SEED = 1234
@@ -60,30 +64,43 @@ def _setting(flag, name: str, kind: type, noun: str, default):
         raise DomainError(f"environment variable {name} is not {noun}: {raw!r}")
 
 
+# An `eval` or `sweep` cell holding x prints _CELL % (x + 0.0): 12 significant
+# digits, and + 0.0 turns negative zero into 0.0, so that it prints as 0.
+_CELL = "%.12g"
+
+
 def _cells(values: Iterable[Optional[float]]) -> list[str]:
-    """The text of `eval` and `sweep` cells: 12 significant digits, blank for
-    None.  + 0.0 turns negative zero into 0.0, so it prints as 0."""
-    return ["" if x is None else f"{x + 0.0:.12g}" for x in values]
+    """The text of `eval` cells: _CELL, blank for None."""
+    return ["" if x is None else _CELL % (x + 0.0) for x in values]
 
 
-def _row(c: float, bits: bool) -> tuple[list, str, Optional[tuple[float, float]]]:
+def _line_template(values: Sequence[Optional[float]], region: str) -> str:
+    """The %-template of a `sweep` line whose cells hold `values`: _CELL for
+    a value, an empty field for None, then the region label."""
+    return ",".join(["" if x is None else _CELL for x in values] + [region]) + "\n"
+
+
+def _row(c: float, bits: bool) -> tuple[list, solve.RegionTag, Optional[tuple[float, float]]]:
     """The _COLUMNS values at overlap c (entropies in nats, or in bits), the
-    region label and the extremizing (P_A, P_B) of b_vs.  m_inf is blank
-    outside the MU region and h1 outside the H1 region."""
+    region tag and the extremizing (P_A, P_B) of b_vs.  m_inf is blank
+    outside the MU region and h1 outside the H1 region.  Each value is
+    computed once: b_vs is b_mu(c) in the MU region and f_bound(c) in the F
+    region, so those columns take its value."""
     report = solve.b_vs(c)  # validates c
     tag = report.region.tag
+    nats = report.nats
     entropies = [
-        core.b_mu(c),
-        core.f_bound(c),
+        nats if tag is _MU else core.b_mu(c),
+        nats if tag is _F else core.f_bound(c),
         core.g_bound(c),
         core.lattice_bound(c),
-        core.m_inf(c) if tag is solve.RegionTag.MU else None,
-        report.nats if tag is solve.RegionTag.H1 else None,
-        report.nats,
+        core.m_inf(c) if tag is _MU else None,
+        nats if tag is _H1 else None,
+        nats,
     ]
     if bits:
         entropies = [None if v is None else core.nats_to_bits(v) for v in entropies]
-    return [c, math.acos(c), *entropies], str(tag), report.witness
+    return [c, math.acos(c), *entropies], tag, report.witness
 
 
 def _print_record(rec: dict, as_json: bool) -> None:
@@ -100,9 +117,9 @@ def _print_record(rec: dict, as_json: bool) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    values, region, witness = _row(args.c, args.bits)
+    values, tag, witness = _row(args.c, args.bits)
     rec = dict(zip(_COLUMNS, values))
-    rec["region"] = region
+    rec["region"] = str(tag)
     rec["witness_p_a"] = witness[0] if witness else None
     rec["witness_p_b"] = witness[1] if witness else None
     rec["unit"] = "bits" if args.bits else "nats"
@@ -139,6 +156,11 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """Write the _COLUMNS of every overlap from --from to --to in steps of
+    --step, and the region label, as CSV to --out.  Each row is one %
+    operation on its region's line template, which _line_template builds
+    from the region's first row, with _CELL applied to each value + 0.0: the
+    same text as _cells gives."""
     lo, hi, step = args.from_, args.to, args.step
     if not (0.0 < lo < hi <= 1.0 and step > 0.0):
         raise DomainError(f"need 0 < from < to <= 1 and step > 0, got {lo}, {hi}, {step}")
@@ -148,6 +170,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not math.isfinite(span) or lo + step == lo:
         raise DomainError(f"step {step} is too small to advance from {lo} to {hi}")
     count = int(math.floor(span + 1e-9)) + 1
+    templates: dict[solve.RegionTag, str] = {}  # line template by region, from its first row
     try:
         with open(args.out, "w", newline="") as out:
             out.write(",".join([*_COLUMNS, "region"]) + "\n")
@@ -157,8 +180,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     c = hi  # snap the final sample; k*step can overshoot by ulps
                 elif c > hi:
                     break
-                values, region, _ = _row(c, args.bits)
-                out.write(",".join([*_cells(values), region]) + "\n")
+                values, tag, _ = _row(c, args.bits)
+                template = templates.get(tag)
+                if template is None:
+                    template = templates[tag] = _line_template(values, str(tag))
+                out.write(template % tuple([x + 0.0 for x in values if x is not None]))
     except OSError as exc:
         return _cannot_write(args.out, exc)
     return EXIT_OK
@@ -216,7 +242,7 @@ def _grid_checks(c_list, tol, grid_n, seed) -> Iterator[Check]:
 
     for c in c_list:
         rep = oracle.grid_min(c, points_per_axis=grid_n)
-        if solve.classify_region(c).tag is not solve.RegionTag.MU:
+        if solve.classify_region(c).tag is not _MU:
             passed = abs(rep.gap) <= tol
             desc = f"|oracle-analytic| = {abs(rep.gap):.3e}"
         else:
@@ -272,7 +298,7 @@ def _random_checks(c_list, tol, grid_n, seed) -> Iterator[Check]:
             "random",
             summary.min_margin >= -tol,
             f"dim={dim} samples={summary.samples} tightest margin = "
-            f"{summary.min_margin:.3e} at c = {summary.argmin_overlap:.4f}",
+            f"{summary.min_margin:.3e} at c = {summary.argmin_overlap:.4f} (tol {tol:g})",
         )
 
 
@@ -286,7 +312,7 @@ def _critique_checks(c_list, tol, grid_n, seed) -> Iterator[Check]:
             "critique",
             all_flagged and residual_ok,
             f"c={c:g} roots={nontrivial} inadmissible={rep.inadmissible_count} max-residual="
-            f"{max((r.residual for r in rep.roots), default=0.0):.2e}",
+            f"{max((r.residual for r in rep.roots), default=0.0):.2e} (tol {tol:g})",
         )
 
 

@@ -248,8 +248,9 @@ def _h1_solution(c: float) -> tuple[float, tuple[float, float]]:
         return f_bound(c), (mid, mid)
     r = _brent(e, a, b, ea, eb).root
     pb = _p_b(r, c)
-    value = binary_entropy(r) + binary_entropy(pb)
-    mirrored = binary_entropy(pb) + binary_entropy(_p_b(pb, c))
+    h_pb = binary_entropy(pb)
+    value = binary_entropy(r) + h_pb
+    mirrored = h_pb + binary_entropy(_p_b(pb, c))
     if abs(value - mirrored) > 1e-10:
         raise ConvergenceError(
             f"mirrored stationary values disagree at c = {c}: {value} vs {mirrored}"
@@ -287,10 +288,10 @@ def b_vs(c: float) -> BoundReport:
     The report carries the region and, outside MuRegion, the extremizing
     (P_A, P_B) pair.
     """
-    region = classify_region(c)
-    if region.tag is RegionTag.MU:
+    region = classify_region(c)  # one of _MU, _H1, _F
+    if region is _MU:
         return BoundReport(c, b_mu(c), region, None)
-    if region.tag is RegionTag.H1:
+    if region is _H1:
         value, witness = _h1_solution(c)
         return BoundReport(c, value, region, witness)
     mid = 0.5 * (1.0 + c)

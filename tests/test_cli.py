@@ -1,5 +1,6 @@
 """CLI behavior: output formats, CSV contract, exit codes, configuration."""
 
+import contextlib
 import csv
 import io
 import json
@@ -7,8 +8,11 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eur import cli, core, oracle, solve
 from eur.errors import VerificationError
@@ -216,21 +220,37 @@ def _reference_cell(x):
     return "" if x is None else f"{x + 0.0:.12g}"
 
 
+SWEEP_HEADER = ["c", "theta", "b_mu", "f", "g", "lattice", "m_inf", "h1", "b_vs", "region"]
+
+
 def reference_sweep_csv(lo, hi, step, bits=False):
-    """The sweep CSV as the csv.writer row writer with one format call per
-    cell produced it, over the rows of cli._row.  Kept as the reference for
-    the one-join-per-row writer."""
+    """The sweep CSV built without cli: every column from its own core or
+    solve function, converted to bits by core.nats_to_bits, and written by
+    csv.writer with one format call per cell.  Kept as the reference for
+    the sweep writer, which reuses b_vs for the column of its own region."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([*cli._COLUMNS, "region"])
+    writer.writerow(SWEEP_HEADER)
     for k in range(int(math.floor((hi - lo) / step + 1e-9)) + 1):
         c = lo + k * step
         if k and abs(c - hi) < step * 1e-6:
             c = hi
         elif c > hi:
             break
-        values, region, _ = cli._row(c, bits)
-        writer.writerow([*map(_reference_cell, values), region])
+        report = solve.b_vs(c)
+        region = str(report.region.tag)
+        entropies = [
+            core.b_mu(c),
+            core.f_bound(c),
+            core.g_bound(c),
+            core.lattice_bound(c),
+            core.m_inf(c) if region == "MuRegion" else None,
+            report.nats if region == "H1Region" else None,
+            report.nats,
+        ]
+        if bits:
+            entropies = [None if x is None else core.nats_to_bits(x) for x in entropies]
+        writer.writerow([*map(_reference_cell, [c, math.acos(c), *entropies]), region])
     return out.getvalue()
 
 
@@ -266,6 +286,87 @@ class TestSweepWriter:
     def test_bits(self, capsys, tmp_path):
         rows = self.sweep(capsys, tmp_path, 0.05, 1.0, 0.0125, "--bits")
         assert rows[-1][:3] == ["1", "0", "0"]
+
+    @pytest.mark.parametrize("flags", [(), ("--bits",)], ids=["nats", "bits"])
+    @pytest.mark.parametrize(
+        "edge,regions",
+        [("inv_sqrt2", ["MuRegion", "H1Region", "H1Region"]), ("c_star", ["H1Region", "FRegion", "FRegion"])],
+    )
+    def test_one_ulp_either_side_of_a_region_edge(self, capsys, tmp_path, edge, regions, flags):
+        e = core.INV_SQRT2 if edge == "inv_sqrt2" else solve.c_star().root
+        rows = self.sweep(capsys, tmp_path, math.nextafter(e, 0.0), math.nextafter(e, 1.0), math.ulp(e), *flags)
+        assert [row[9] for row in rows[1:]] == regions
+
+
+# Floats a cell must print as f"{x + 0.0:.12g}": signed zeros, infinities,
+# nan, subnormals, the normal limits, 1 - ulp, and values whose 12-digit
+# rounding carries or switches to an exponent
+SPECIAL_CELLS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+    2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308, math.nextafter(1.0, 0.0),
+    1.0, -1.0, 0.9999999999995, 99999999999.95, 999999999999.5, 1e-5, 0.0001, 1e16, 0.1, -2.0 * math.log(1.0),
+]
+
+
+class TestCellFormat:
+    """Every float prints as f"{x + 0.0:.12g}", in a sweep cell and in an
+    eval cell, and None as an empty cell."""
+
+    @staticmethod
+    def sweep_rows(tmp_dir, rows):
+        """The lines cmd_sweep writes when cli._row yields `rows`, a list of
+        six (region, values) pairs, at the overlaps 0.5, 0.6, ..., 1."""
+        pending = iter(rows)
+
+        def fake_row(c, bits):
+            region, values = next(pending)
+            return list(values), region, None
+
+        out_path = tmp_dir / "cells.csv"
+        argv = ["sweep", "--from", "0.5", "--to", "1", "--step", "0.1", "--out", str(out_path)]
+        with mock.patch.object(cli, "_row", fake_row), contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert next(pending, None) is None
+        return out_path.read_text().splitlines()
+
+    @staticmethod
+    def expected_lines(rows):
+        return [",".join(SWEEP_HEADER)] + [
+            ",".join([*map(_reference_cell, values), region]) for region, values in rows
+        ]
+
+    def test_special_floats(self, tmp_path):
+        cells = (SPECIAL_CELLS * 3)[:54]
+        rows = [("R", cells[k : k + 9]) for k in range(0, 27, 9)]
+        # a second region, blank in the m_inf and h1 columns, as the F region is
+        rows += [("S", [*cells[k : k + 6], None, None, cells[k + 6]]) for k in range(27, 54, 9)]
+        assert self.sweep_rows(tmp_path, rows) == self.expected_lines(rows)
+        assert cli._cells(SPECIAL_CELLS + [None]) == [*map(_reference_cell, SPECIAL_CELLS), ""]
+        assert cli._cells([-0.0]) == ["0"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        blanks=st.fixed_dictionaries(
+            {region: st.lists(st.booleans(), min_size=9, max_size=9) for region in ("MuRegion", "H1Region", "FRegion")}
+        ),
+        draws=st.lists(
+            st.tuples(
+                st.sampled_from(["MuRegion", "H1Region", "FRegion"]),
+                st.lists(st.one_of(st.sampled_from(SPECIAL_CELLS), st.floats()), min_size=9, max_size=9),
+            ),
+            min_size=6,
+            max_size=6,
+        ),
+    )
+    def test_any_floats(self, tmp_path_factory, blanks, draws):
+        # one blank pattern per region, as cli._row has
+        rows = [
+            (region, [None if blank else x for blank, x in zip(blanks[region], values)])
+            for region, values in draws
+        ]
+        assert self.sweep_rows(tmp_path_factory.mktemp("cells"), rows) == self.expected_lines(rows)
+        for _, values in rows:
+            assert cli._cells(values) == [*map(_reference_cell, values)]
 
 
 class TestWriteFailures:
@@ -428,7 +529,7 @@ class TestVerify:
         assert code == 4
         assert out.splitlines() == [
             *(
-                f"FAIL random dim={dim} samples=10000 tightest margin = -2.500e-03 at c = 0.7500"
+                f"FAIL random dim={dim} samples=10000 tightest margin = -2.500e-03 at c = 0.7500 (tol 1e-09)"
                 for dim in (2, 3, 4, 5)
             ),
             "RESULT: 0 passed, 4 failed",
@@ -544,6 +645,16 @@ class TestVerify:
         ]
         assert lines[-1] == "RESULT: 3 passed, 1 failed"
 
+    def test_every_line_shows_the_tolerance_that_decided_it(self, capsys):
+        # one --tol sets grid, qubit, random and critique; shape takes none
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--tol", "1e-3")
+        assert code == 0
+        lines = out.splitlines()[:-1]
+        suites = [line.split()[1] for line in lines]
+        assert [suite for suite in dict.fromkeys(suites)] == list(cli._SUITES)
+        for suite, line in zip(suites, lines):
+            assert line.endswith(" (tol 0.001)") == (suite != "shape"), line
+
     def test_random_suite_seeded(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "random", "--seed", "3")
         assert code == 0
@@ -584,6 +695,20 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "constants")
         assert code == 3
         assert "no convergence" in err
+
+    def test_mirrored_value_failure_exit_3(self, capsys, monkeypatch):
+        # the mirror of the H1 witness off by 1e-6: the H1 solve's own check fires
+        p_b, calls = solve._p_b, []
+
+        def off_on_mirror(p, c):
+            calls.append(p)
+            return p_b(p, c) + (1e-6 if len(calls) == 2 else 0.0)
+
+        monkeypatch.setattr(solve, "_p_b", off_on_mirror)
+        code, out, err = run_cli(capsys, "eval", "--c", "0.75")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: mirrored stationary values disagree at c = 0.75: ")
+        assert len(calls) == 2
 
     def test_bracket_failure_exit_3(self, capsys, monkeypatch):
         from eur.errors import BracketError

@@ -163,6 +163,22 @@ class TestH1Bound:
             mirrored = core.binary_entropy(pb) + core.binary_entropy(core.p_b_of_p_a(pb, c))
             assert abs(direct - mirrored) <= 1e-10
 
+    @pytest.mark.parametrize("c", [0.73, 0.75, 0.81])
+    def test_mirrored_value_check_is_live(self, monkeypatch, c):
+        """H(P_B) is shared by the value and its mirror; the mirror's own
+        P_B(P_B) still feeds the check, so a mirror off by 1e-6 is caught."""
+        p_b, calls = solve._p_b, []
+
+        def off_on_mirror(p, c):
+            calls.append(p)
+            return p_b(p, c) + (1e-6 if len(calls) == 2 else 0.0)
+
+        witness = solve.h1_witness(c)
+        monkeypatch.setattr(solve, "_p_b", off_on_mirror)
+        with pytest.raises(ConvergenceError, match=f"mirrored stationary values disagree at c = {c}: "):
+            solve.h1_bound(c)
+        assert calls == [witness[0], witness[1]]
+
     @pytest.mark.parametrize("c", [0.70, 0.84, 0.2])
     def test_domain(self, c):
         with pytest.raises(DomainError):
