@@ -1,6 +1,5 @@
 """CLI behavior: output formats, CSV contract, exit codes, configuration."""
 
-import contextlib
 import csv
 import io
 import json
@@ -324,7 +323,7 @@ class TestCellFormat:
 
         out_path = tmp_dir / "cells.csv"
         argv = ["sweep", "--from", "0.5", "--to", "1", "--step", "0.1", "--out", str(out_path)]
-        with mock.patch.object(cli, "_row", fake_row), contextlib.redirect_stdout(io.StringIO()):
+        with mock.patch.object(cli, "_row", fake_row):
             assert cli.main(argv) == 0
         assert next(pending, None) is None
         return out_path.read_text().splitlines()
