@@ -20,7 +20,7 @@ import errno
 import math
 import os
 import sys
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import core, solve
 from .errors import BracketError, ConvergenceError, DomainError, EurError, VerificationError
@@ -69,11 +69,6 @@ def _setting(flag, name: str, kind: type, noun: str, default):
 _CELL = "%.12g"
 
 
-def _cells(values: Iterable[Optional[float]]) -> list[str]:
-    """The text of `eval` cells: _CELL, blank for None."""
-    return ["" if x is None else _CELL % (x + 0.0) for x in values]
-
-
 def _line_template(values: Sequence[Optional[float]], region: str) -> str:
     """The %-template of a `sweep` line whose cells hold `values`: _CELL for
     a value, an empty field for None, then the region label."""
@@ -103,17 +98,11 @@ def _row(c: float, bits: bool) -> tuple[list, solve.RegionTag, Optional[tuple[fl
     return [c, math.acos(c), *entropies], tag, report.witness
 
 
-def _print_record(rec: dict, as_json: bool) -> None:
-    if as_json:
-        import json
+def _print_json(obj) -> None:
+    """Print obj as one JSON line; json is loaded only by a --json command."""
+    import json
 
-        print(json.dumps(rec))
-        return
-    width = max(len(k) for k in rec)
-    for k, v in rec.items():
-        if not isinstance(v, str):
-            [v] = _cells([v])
-        print(f"{k:<{width}} = {v}")
+    print(json.dumps(obj))
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -123,28 +112,30 @@ def cmd_eval(args: argparse.Namespace) -> int:
     rec["witness_p_a"] = witness[0] if witness else None
     rec["witness_p_b"] = witness[1] if witness else None
     rec["unit"] = "bits" if args.bits else "nats"
-    _print_record(rec, args.json)
+    if args.json:
+        _print_json(rec)
+        return EXIT_OK
+    width = max(map(len, rec))
+    for k, v in rec.items():
+        text = "" if v is None else v if isinstance(v, str) else _CELL % (v + 0.0)
+        print(f"{k:<{width}} = {text}")
     return EXIT_OK
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
     rows = {"c_star": solve.c_star(), "c_dagger": solve.c_dagger()}
     if args.json:
-        import json
-
-        print(
-            json.dumps(
-                {
-                    name: {
-                        "value": rr.root,
-                        "residual": rr.residual,
-                        "bracket_lo": rr.bracket[0],
-                        "bracket_hi": rr.bracket[1],
-                        "iterations": rr.iterations,
-                    }
-                    for name, rr in rows.items()
+        _print_json(
+            {
+                name: {
+                    "value": rr.root,
+                    "residual": rr.residual,
+                    "bracket_lo": rr.bracket[0],
+                    "bracket_hi": rr.bracket[1],
+                    "iterations": rr.iterations,
                 }
-            )
+                for name, rr in rows.items()
+            }
         )
         return EXIT_OK
     for name, rr in rows.items():
@@ -160,7 +151,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     --step, and the region label, as CSV to --out.  Each row is one %
     operation on its region's line template, which _line_template builds
     from the region's first row, with _CELL applied to each value + 0.0: the
-    same text as _cells gives."""
+    same text as an `eval` cell."""
     lo, hi, step = args.from_, args.to, args.step
     if not (0.0 < lo < hi <= 1.0 and step > 0.0):
         raise DomainError(f"need 0 < from < to <= 1 and step > 0, got {lo}, {hi}, {step}")
@@ -170,17 +161,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not math.isfinite(span) or lo + step == lo:
         raise DomainError(f"step {step} is too small to advance from {lo} to {hi}")
     count = int(math.floor(span + 1e-9)) + 1
+    # c only grows from `from`, so the first row is the only one that a domain
+    # error (c^2 too small) can reach: it is computed before --out is created
+    row = _row(lo, args.bits)
     templates: dict[solve.RegionTag, str] = {}  # line template by region, from its first row
     try:
         with open(args.out, "w", newline="") as out:
             out.write(",".join([*_COLUMNS, "region"]) + "\n")
             for k in range(count):
-                c = lo + k * step
-                if k and abs(c - hi) < step * 1e-6:  # row 0 stays at `from`, whatever the step
-                    c = hi  # snap the final sample; k*step can overshoot by ulps
-                elif c > hi:
-                    break
-                values, tag, _ = _row(c, args.bits)
+                if k:  # row 0 stays at `from`, whatever the step
+                    c = lo + k * step
+                    if abs(c - hi) < step * 1e-6:
+                        c = hi  # snap the final sample; k*step can overshoot by ulps
+                    elif c > hi:
+                        break
+                    row = _row(c, args.bits)
+                values, tag, _ = row
                 template = templates.get(tag)
                 if template is None:
                     template = templates[tag] = _line_template(values, str(tag))
@@ -193,18 +189,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_critique(args: argparse.Namespace) -> int:
     report = solve.critique_report(args.c)
     if args.json:
-        import json
-
-        print(
-            json.dumps(
-                {
-                    "c": report.c,
-                    "theta": report.theta,
-                    "interval_lo": report.interval[0],
-                    "interval_hi": report.interval[1],
-                    "roots": [r._asdict() for r in report.roots],
-                }
-            )
+        _print_json(
+            {
+                "c": report.c,
+                "theta": report.theta,
+                "interval_lo": report.interval[0],
+                "interval_hi": report.interval[1],
+                "roots": [r._asdict() for r in report.roots],
+            }
         )
         return EXIT_OK
     print(f"c = {report.c:.12g}  theta = {report.theta:.12g}")
@@ -346,6 +338,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 raise DomainError(f"tolerance must be finite and non-negative, got {tol!r}")
         if grid_n is not None:
             grid_n = _setting(args.grid, "EUR_GRID", int, "an integer", grid_n)
+            if grid_n < 1:
+                raise DomainError(f"grid must be a positive integer, got {grid_n}")
         runs.append((run, args.c_list or c_list, tol, grid_n))
     checks: list[Check] = []
     for run, c_list, tol, grid_n in runs:

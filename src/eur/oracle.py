@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import numbers
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .core import (
     INV_SQRT2,
@@ -79,7 +79,7 @@ class OracleReport(NamedTuple):
     oracle_min: float
     analytic_ref: float
     gap: float  # oracle_min - analytic_ref, signed
-    argmin: Union[tuple[float, float], float]
+    argmin: tuple[float, float]  # the (P_A, P_B) pair at oracle_min
     resolution: str
 
 
@@ -212,6 +212,8 @@ def qubit_min(c: float) -> OracleReport:
     a 500-point scan of phi over [0, pi/2) sees every state; its best point
     is refined by golden-section search to 1e-10 in phi, within one scan
     step either side (_scan_golden).  Dimension two forces c >= 1/sqrt(2).
+    argmin is the outcome pair (P_A, P_B) = (cos^2 phi, cos^2(theta - phi))
+    at the minimum.
     """
     if not (INV_SQRT2 - 1e-12 <= c <= 1.0):
         raise DomainError(f"qubit_min requires 1/sqrt(2) <= c <= 1, got {c!r}")
@@ -227,7 +229,7 @@ def qubit_min(c: float) -> OracleReport:
         oracle_min=val,
         analytic_ref=ref,
         gap=val - ref,
-        argmin=phi_min,
+        argmin=(math.cos(phi_min) ** 2, math.cos(theta - phi_min) ** 2),
         resolution="500-point scan of [0, pi/2) + golden section to 1e-10",
     )
 

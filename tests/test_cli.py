@@ -1,5 +1,6 @@
 """CLI behavior: output formats, CSV contract, exit codes, configuration."""
 
+import contextlib
 import csv
 import io
 import json
@@ -193,6 +194,17 @@ class TestSweep:
         assert message in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("lo,c2", [("1e-170", "0.0"), ("1e-160", "1e-320")])
+    def test_underflowing_from_exit_2_writes_no_file(self, tmp_path, capsys, lo, c2):
+        # the first row is the only one c^2 can be too small in
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--from", lo, "--to", "0.1", "--step", "0.05", "--out", str(out_path),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: c^2 = {c2} is too small: 1/c^2 overflows\n"
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("step", ["1e6", "1e300"])
     def test_step_past_the_range_writes_from(self, tmp_path, capsys, step):
         # step * 1e-6 exceeds to - from; the only row must stay at --from
@@ -220,6 +232,7 @@ def _reference_cell(x):
 
 
 SWEEP_HEADER = ["c", "theta", "b_mu", "f", "g", "lattice", "m_inf", "h1", "b_vs", "region"]
+EVAL_KEYS = [*SWEEP_HEADER, "witness_p_a", "witness_p_b", "unit"]
 
 
 def reference_sweep_csv(lo, hi, step, bits=False):
@@ -334,14 +347,28 @@ class TestCellFormat:
             ",".join([*map(_reference_cell, values), region]) for region, values in rows
         ]
 
+    @staticmethod
+    def eval_cells(values, witness):
+        """The cells `eval` prints when cli._row yields the nine `values` and
+        the (P_A, P_B) `witness`: every cell but the region and the unit."""
+        out = io.StringIO()
+        with mock.patch.object(cli, "_row", lambda c, bits: (list(values), "R", witness)):
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["eval", "--c", "0.5"]) == 0
+        lines = out.getvalue().splitlines()
+        assert [line[:14] for line in lines] == [f"{key:<11} = " for key in EVAL_KEYS]
+        return [line[14:] for key, line in zip(EVAL_KEYS, lines) if key not in ("region", "unit")]
+
     def test_special_floats(self, tmp_path):
         cells = (SPECIAL_CELLS * 3)[:54]
         rows = [("R", cells[k : k + 9]) for k in range(0, 27, 9)]
         # a second region, blank in the m_inf and h1 columns, as the F region is
         rows += [("S", [*cells[k : k + 6], None, None, cells[k + 6]]) for k in range(27, 54, 9)]
         assert self.sweep_rows(tmp_path, rows) == self.expected_lines(rows)
-        assert cli._cells(SPECIAL_CELLS + [None]) == [*map(_reference_cell, SPECIAL_CELLS), ""]
-        assert cli._cells([-0.0]) == ["0"]
+        for k in range(0, len(SPECIAL_CELLS), 11):
+            values = (SPECIAL_CELLS + [None] * 10)[k : k + 11]
+            assert self.eval_cells(values[:9], values[9:]) == [*map(_reference_cell, values)]
+        assert self.eval_cells([-0.0] * 9, None) == ["0"] * 9 + ["", ""]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -365,7 +392,7 @@ class TestCellFormat:
         ]
         assert self.sweep_rows(tmp_path_factory.mktemp("cells"), rows) == self.expected_lines(rows)
         for _, values in rows:
-            assert cli._cells(values) == [*map(_reference_cell, values)]
+            assert self.eval_cells(values, values[:2]) == [*map(_reference_cell, values + values[:2])]
 
 
 class TestWriteFailures:
@@ -658,6 +685,70 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "random", "--seed", "3")
         assert code == 0
         assert out.count("PASS random") == 4
+
+
+class TestGridSetting:
+    """--grid, or EUR_GRID, reaches the grid and shape oracles, and a grid
+    below 1 exits 2 before any suite runs."""
+
+    @staticmethod
+    def record_grids(monkeypatch):
+        grids = []
+
+        def grid_min(c, points_per_axis):
+            grids.append(("grid_min", points_per_axis))
+            return oracle.OracleReport(c, 0.0, 0.0, 0.0, (1.0, 1.0), "fake")
+
+        def shape_check(c, grid):
+            grids.append(("shape_check", grid))
+            return oracle.ShapeSummary(c, "FRegion", 1, 0.0, 0.0, "maximum")
+
+        monkeypatch.setattr(oracle, "grid_min", grid_min)
+        monkeypatch.setattr(oracle, "shape_check", shape_check)
+        return grids
+
+    @staticmethod
+    def verify(capsys, monkeypatch, suite, route, grid):
+        """verify --suite `suite` at c = 0.9 with `grid` from the flag, from
+        EUR_GRID, or from the flag while EUR_GRID holds 3000 ("both")."""
+        if route == "env":
+            monkeypatch.setenv("EUR_GRID", grid)
+            return run_cli(capsys, "verify", "--suite", suite, "--c-list", "0.9")
+        if route == "both":
+            monkeypatch.setenv("EUR_GRID", "3000")
+        else:
+            monkeypatch.delenv("EUR_GRID", raising=False)
+        return run_cli(capsys, "verify", "--suite", suite, "--c-list", "0.9", "--grid", grid)
+
+    @pytest.mark.parametrize("route", ["flag", "env", "both"])
+    @pytest.mark.parametrize("grid,shape_grid", [(2000, 2000), (500, 1000)])
+    def test_grid_reaches_the_grid_and_shape_oracles(self, capsys, monkeypatch, route, grid, shape_grid):
+        # the shape suite runs at no fewer than 1000 samples; the flag beats EUR_GRID
+        grids = self.record_grids(monkeypatch)
+        for suite in ("grid", "shape"):
+            code, _, _ = self.verify(capsys, monkeypatch, suite, route, str(grid))
+            assert code == 0
+        assert grids == [("grid_min", grid), ("shape_check", shape_grid)]
+
+    @pytest.mark.parametrize("route", ["flag", "env"])
+    @pytest.mark.parametrize("suite,grid", [("shape", "-5"), ("shape", "0"), ("grid", "0"), ("all", "0")])
+    def test_grid_below_one_exit_2_before_running(self, capsys, monkeypatch, route, suite, grid):
+        grids = self.record_grids(monkeypatch)
+        argv = ["verify", "--suite", suite] + (["--c-list", "0.5"] if suite != "all" else [])
+        if route == "env":
+            monkeypatch.setenv("EUR_GRID", grid)
+        else:
+            monkeypatch.delenv("EUR_GRID", raising=False)
+            argv.append(f"--grid={grid}")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, grids) == (2, "", [])
+        assert err == f"error: grid must be a positive integer, got {grid}\n"
+
+    @pytest.mark.parametrize("route", ["flag", "env"])
+    def test_grid_below_100_exit_2_from_the_grid_oracle(self, capsys, monkeypatch, route):
+        code, out, err = self.verify(capsys, monkeypatch, "grid", route, "99")
+        assert (code, out) == (2, "")
+        assert err == "error: points_per_axis must be an integer of at least 100, got 99\n"
 
 
 class TestConfigPrecedence:

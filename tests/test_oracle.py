@@ -265,13 +265,14 @@ class TestQubitMin:
     def test_common_eigenstate(self):
         rep = oracle.qubit_min(1.0)
         assert rep.oracle_min <= 1e-12
-        assert abs(rep.argmin) <= 1e-4
+        assert rep.argmin == pytest.approx((1.0, 1.0), abs=1e-8)
 
     def test_f_region_argmin_at_half_angle(self):
+        # phi = theta/2 gives ((1+c)/2, (1+c)/2); the copy at theta/2 + pi/2
+        # gives ((1-c)/2, (1-c)/2) and is rejected
         rep = oracle.qubit_min(0.9)
-        theta = math.acos(0.9)
         assert abs(rep.gap) <= 1e-9
-        assert rep.argmin == pytest.approx(theta / 2.0, abs=1e-6)
+        assert rep.argmin == pytest.approx((0.95, 0.95), abs=1e-6)
 
     def test_h1_region(self):
         rep = oracle.qubit_min(0.8)
@@ -305,6 +306,25 @@ class TestQubitMin:
                 pb = max(math.cos(theta - phi) ** 2, math.sin(theta - phi) ** 2)
                 lhs = math.acos(math.sqrt(pa)) + math.acos(math.sqrt(pb))
                 assert lhs >= theta - 1e-12
+
+
+# H1 and F overlaps at least 1e-4 from c*: within about 1e-6 of c* the
+# minimum is quartic-flat, and the minimizers drift apart by up to 5e-5
+_WITNESS_OVERLAPS = [
+    core.INV_SQRT2, math.nextafter(core.INV_SQRT2, 1.0), core.INV_SQRT2 + 1e-6, 0.72, 0.75, 0.8,
+    _C_STAR - 1e-4, 0.85, 0.9, 0.95, 0.99, 0.999, 1.0,
+]
+
+
+@pytest.mark.parametrize("c", _WITNESS_OVERLAPS)
+@pytest.mark.parametrize("minimize", [oracle.grid_min, oracle.qubit_min], ids=["grid", "qubit"])
+def test_oracle_argmin_is_the_b_vs_witness(minimize, c):
+    """Each oracle's minimizing (P_A, P_B) is b_vs's witness, up to swap."""
+    witness = solve.b_vs(c).witness
+    argmin = minimize(c).argmin
+    if abs(argmin[0] - witness[0]) > abs(argmin[0] - witness[1]):
+        argmin = argmin[::-1]
+    assert argmin == pytest.approx(witness, abs=1e-6)
 
 
 class TestRandomStateCheck:

@@ -41,9 +41,20 @@ def _documented_commands(text):
 
 def test_documented_subcommands_match_the_parser():
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    readme_cli = README.split("## CLI", 1)[1].split("```")[1]
+    readme_section = README.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    readme_cli = readme_section.split("```")[1]
     assert _documented_commands(cli.__doc__) == set(sub.choices)
     assert _documented_commands(readme_cli) == set(sub.choices)
+    # every option of every subcommand, help aside, is named in both
+    options = {
+        opt
+        for parser in sub.choices.values()
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+        for opt in action.option_strings
+    }
+    for text in (cli.__doc__, readme_section):
+        assert sorted(o for o in options if not re.search(re.escape(o) + r"(?![\w-])", text)) == []
 
 
 def test_readme_paths_exist():
