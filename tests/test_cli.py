@@ -592,6 +592,21 @@ class TestVerify:
         assert "Traceback" not in proc.stderr
         assert "--seed must be a non-negative integer, got -5" in proc.stderr
 
+    @pytest.mark.parametrize("seed", ["7", "1234"])
+    def test_seeded_random_suite_does_not_depend_on_blas_threads(self, seed):
+        one, two = (
+            subprocess.run(
+                [sys.executable, "-m", "eur.cli", "verify", "--suite", "random", "--seed", seed],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            for threads in ("1", "2")
+        )
+        assert one.stdout.endswith("RESULT: 4 passed, 0 failed\n")
+        assert (two.returncode, two.stdout) == (one.returncode, one.stdout)
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-inf"])
     @pytest.mark.parametrize("route", ["flag", "env"])
     @pytest.mark.parametrize("suite", ["grid", "all"])

@@ -1,6 +1,7 @@
 """The package's public names and the documentation of its front end."""
 
 import argparse
+import ast
 import inspect
 import itertools
 import math
@@ -10,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,13 +23,15 @@ ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
 
 
-def _fresh_python(code, cwd, *flags):
-    """Run `code` in a new interpreter that imports eur from this checkout."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+def _fresh_python(code, cwd, *flags, environ=os.environ):
+    """Run `code` in a new interpreter that imports eur from this checkout,
+    with the variables of `environ`; return its stdout."""
+    env = dict(environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, *flags, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_all_is_unique_and_resolves():
@@ -83,6 +87,74 @@ assert "numpy" not in sys.modules
 """
     _fresh_python(code, tmp_path)
     assert (tmp_path / "s.csv").read_text().count("\n") == 42
+
+
+# the variables that set OpenBLAS's thread count, as cli._random_checks reads them
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_threads_after(tmp_path, argvs, preset=None, numpy_first=False):
+    """Run cli.main on each argv in a fresh interpreter whose only thread
+    variable is `preset` (a (name, value) pair), numpy imported first if
+    asked.  Return the exit codes, the three variables afterwards, and the
+    interpreter's task count (None where /proc/self/task does not exist)."""
+    environ = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    if preset is not None:
+        environ[preset[0]] = preset[1]
+    code = f"""
+import contextlib, io, os
+{"import numpy" if numpy_first else ""}
+from eur import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in {argvs!r}]
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(repr((codes, {{name: os.environ.get(name) for name in {_BLAS_THREAD_VARS!r}}}, tasks)))
+"""
+    return ast.literal_eval(_fresh_python(code, tmp_path, environ=environ))
+
+
+_RANDOM_SEED_7 = [["verify", "--suite", "random", "--seed", "7"]]
+
+
+def test_random_suite_runs_blas_on_one_thread(tmp_path):
+    codes, threads, tasks = _blas_threads_after(tmp_path, _RANDOM_SEED_7)
+    assert codes == [0]
+    assert threads == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
+    if tasks is not None:
+        assert tasks == 1  # no BLAS worker thread
+
+
+@pytest.mark.parametrize("name", _BLAS_THREAD_VARS)
+def test_random_suite_keeps_a_preset_thread_count(tmp_path, name):
+    codes, threads, tasks = _blas_threads_after(tmp_path, _RANDOM_SEED_7, preset=(name, "2"))
+    assert codes == [0]
+    assert threads == {var: "2" if var == name else None for var in _BLAS_THREAD_VARS}
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if tasks is not None and cpus >= 2 and "openblas" in blas:
+        assert tasks == 2  # the worker runs, so the one-thread test can see it
+
+
+def test_random_suite_keeps_the_thread_count_of_a_loaded_numpy(tmp_path):
+    codes, threads, _ = _blas_threads_after(tmp_path, _RANDOM_SEED_7, numpy_first=True)
+    assert codes == [0]
+    assert threads == dict.fromkeys(_BLAS_THREAD_VARS)
+
+
+def test_other_commands_leave_the_thread_count_alone(tmp_path):
+    argvs = [
+        ["eval", "--c", "0.8"],
+        ["constants"],
+        ["sweep", "--from", "0.5", "--to", "0.9", "--step", "0.01", "--out", str(tmp_path / "s.csv")],
+        ["critique", "--c", "0.6"],
+        ["verify", "--suite", "grid", "--c-list", "0.5", "0.9"],
+        ["verify", "--suite", "qubit", "--c-list", "0.8"],
+        ["verify", "--suite", "shape", "--c-list", "0.5"],
+        ["verify", "--suite", "critique", "--c-list", "0.3"],
+    ]
+    codes, threads, _ = _blas_threads_after(tmp_path, argvs)
+    assert codes == [0] * len(argvs)
+    assert threads == dict.fromkeys(_BLAS_THREAD_VARS)
 
 
 def test_star_import_binds_every_public_name(tmp_path):
