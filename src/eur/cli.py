@@ -291,8 +291,8 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREAD
 def _random_checks(c_list, tol, grid_n, seed) -> Iterator[Check]:
     # Every BLAS call of the random oracle is on a 5x5 matrix or smaller, so a
     # second BLAS thread only spins: one thread cuts the suite's CPU time by
-    # about a quarter at the same wall time and the same output.  A thread
-    # count the user set, or a numpy already loaded, is left alone.
+    # about 30% at the same wall time and the same output.  A thread count
+    # the user set, or a numpy already loaded, is left alone.
     if "numpy" not in sys.modules and not any(var in os.environ for var in _BLAS_THREAD_VARS):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     from . import oracle
