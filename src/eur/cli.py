@@ -25,7 +25,7 @@ import sys
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import core, solve
-from .errors import BracketError, ConvergenceError, DomainError, EurError, VerificationError
+from .errors import BracketError, ConvergenceError, DomainError, EurError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -37,7 +37,6 @@ _EXIT_CODES = {
     DomainError: EXIT_DOMAIN,
     BracketError: EXIT_CONVERGENCE,
     ConvergenceError: EXIT_CONVERGENCE,
-    VerificationError: EXIT_VERIFY,
 }
 
 # One row of `eval` and `sweep`; every column after theta is an entropy.
@@ -260,16 +259,38 @@ def _shape_checks(c_list, tol, grid_n, seed) -> Iterator[Check]:
     from . import oracle
 
     for c in c_list:
-        try:
-            summary = oracle.shape_check(c, grid=max(grid_n, 1000))
-        except VerificationError as exc:
-            yield Check("shape", False, f"c={c:g} {exc}")
+        s = oracle.shape_check(c, grid=max(grid_n, 1000))
+        # the bounds are fixed, and --tol does not reach them
+        extremum, sign = ("minimum", 1.0) if s.region == str(_F) else ("maximum", -1.0)
+        changes = 3 if s.region == str(_H1) else 1
+        failed = []
+        if s.n_steps_not_falling or s.n_sign_changes != 1 or s.n_zero_offset > 2.0:
+            failed.append(
+                f"clause (a): slope control has {s.n_steps_not_falling} non-falling steps, "
+                f"{s.n_sign_changes} sign changes, zero {s.n_zero_offset:.3g} steps from (1+c)/2"
+            )
+        if s.k_steps_not_rising or s.k_steps_not_falling:
+            failed.append(
+                f"clause (b): curvature function has {s.k_steps_not_rising} non-rising steps "
+                f"before the peak and {s.k_steps_not_falling} non-falling steps after it"
+            )
+        if s.k_endpoint_gap > 1e-8:
+            failed.append(f"clause (c): endpoint values differ by {s.k_endpoint_gap:.3e}")
+        if s.e1_sign_changes != changes:
+            failed.append(f"clause (d): {s.e1_sign_changes} sign changes, expected {changes}")
+        if not (sign * s.m1_step_below > 0.0 and sign * s.m1_step_above > 0.0):
+            failed.append(
+                f"clause (e): expected a {extremum} at (1+c)/2, objective steps "
+                f"{s.m1_step_below:.3e} below and {s.m1_step_above:.3e} above"
+            )
+        if failed:
+            yield Check("shape", False, f"c={c:g} {'; '.join(failed)} at c = {c!r}")
         else:
             yield Check(
                 "shape",
                 True,
-                f"c={c:g} sign-changes={summary.e1_sign_changes} "
-                f"extremum={summary.extremum} endpoint-gap={summary.k_endpoint_gap:.2e}",
+                f"c={c:g} sign-changes={s.e1_sign_changes} "
+                f"extremum={extremum} endpoint-gap={s.k_endpoint_gap:.2e}",
             )
     limit = oracle.delta_m_inf_limit()
     for c, diff in limit:

@@ -6,7 +6,6 @@ __all__ = [
     "SingularValueError",
     "BracketError",
     "ConvergenceError",
-    "VerificationError",
 ]
 
 
@@ -28,7 +27,3 @@ class BracketError(EurError, ValueError):
 
 class ConvergenceError(EurError, RuntimeError):
     """An iterative solver exhausted its iteration budget."""
-
-
-class VerificationError(EurError, AssertionError):
-    """An oracle check failed; the message identifies the offending case."""

@@ -16,10 +16,10 @@ Five checks, each attacking the closed-form results from a different side:
                          batches, and a knot-table screen (sound where the
                          bound is monotone between knots) leaves the exact
                          bound to the few samples that can be the minimum;
-  * shape_check       -- sampled monotonicity / sign-structure assertions on
-                         the auxiliary curves (slope, curvature, their
-                         controls) plus the extremum character of the
-                         constrained objective;
+  * shape_check       -- sampled measurements of the monotonicity and sign
+                         structure of the auxiliary curves (slope,
+                         curvature, their controls) and of the extremum
+                         character of the constrained objective;
   * boundary_case_min -- the two boundary candidate families (P_A = 1 and
                          reciprocal lattice pairs), with the signed gap of
                          the better one over the piecewise bound.
@@ -56,7 +56,7 @@ from .core import (
     m_inf,
     n_function,
 )
-from .errors import DomainError, VerificationError
+from .errors import DomainError
 from .solve import BoundReport, RegionTag, b_vs, c_star, classify_region
 
 if TYPE_CHECKING:
@@ -95,10 +95,15 @@ class RandomStateSummary(NamedTuple):
 class ShapeSummary(NamedTuple):
     c: float
     region: str
-    e1_sign_changes: int
-    n_zero_at: float
-    k_endpoint_gap: float
-    extremum: str  # "maximum" or "minimum" of the objective at (1+c)/2
+    n_steps_not_falling: int  # (a) steps of N that do not fall
+    n_sign_changes: int  # (a) sign changes of N
+    n_zero_offset: float  # (a) first negative N sample to (1+c)/2, in sample steps
+    k_steps_not_rising: int  # (b) steps of K before (1+c)/2 that do not rise
+    k_steps_not_falling: int  # (b) steps of K after (1+c)/2 that do not fall
+    k_endpoint_gap: float  # (c) |K(x) - K(P_B(x))| near the lower end
+    e1_sign_changes: int  # (d) sign changes of E_1
+    m1_step_below: float  # (e) objective one step below (1+c)/2, minus its value there
+    m1_step_above: float  # (e) the same, one step above
 
 
 def _entropy_rows(p: np.ndarray) -> np.ndarray:
@@ -353,96 +358,65 @@ def _sign_changes(values: Sequence[float]) -> int:
 
 
 def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
-    """Sampled structural assertions on the auxiliary curves at overlap c.
+    """Sampled measurements of the structure of the auxiliary curves at
+    overlap c, for each of five clauses; judging them is the caller's.
 
-    (a) the slope control of the curvature function is strictly decreasing
-        with its unique zero at (1+c)/2;
-    (b) the curvature function rises before (1+c)/2 and falls after it;
-    (c) its values at dual near-endpoint points agree (endpoint symmetry);
-    (d) the stationarity function changes sign once below 1/sqrt(2) and above
-        c_star, three times in between;
-    (e) the constrained objective has a maximum at (1+c)/2 below c_star and a
-        minimum above, by second differences.
+    (a) the slope control N: its steps that do not fall, its sign changes,
+        and the distance from its first negative sample (the last sample if
+        none) to (1+c)/2, in sample steps;
+    (b) the curvature function K: its steps that do not rise before (1+c)/2
+        and that do not fall after it;
+    (c) the gap between the values of K at dual near-endpoint points;
+    (d) the sign changes of the stationarity function E_1;
+    (e) the constrained objective one step below and one step above (1+c)/2,
+        minus its value there.
+    By the paper, N falls with one zero at (1+c)/2, K rises and then falls,
+    the gap is 0, E_1 changes sign three times from 1/sqrt(2) to c_star and
+    once elsewhere, and the objective has a maximum at (1+c)/2 below c_star
+    and a minimum above.
 
     The samples lo + i w / grid, i = 1..grid-1, increase, so once the first
     and the last pass n_function, every sample lies strictly inside the
     admissible interval and the scans of clauses (a), (b) and (d) run on the
     unchecked kernels _n_value, _k_log_terms and E_1 bound once to c by
-    _e_kernel.  Raises VerificationError naming the violated clause and
-    sample.
+    _e_kernel.
     """
     if not isinstance(grid, numbers.Integral) or grid < 1000:
         raise DomainError(f"grid must be an integer of at least 1000, got {grid!r}")
     region = classify_region(c)
     iv = admissible_interval(c)
-    lo, hi, w = iv.lo, iv.hi, iv.width
+    lo, w = iv.lo, iv.width
     mid = 0.5 * (1.0 + c)
     step = w / grid
     xs = [lo + i * step for i in range(1, grid)]
     n_function(xs[0], c)
     n_function(xs[-1], c)
 
-    # (a) slope control strictly decreasing, unique zero at the symmetric point
     n_vals = [_n_value(x, c) for x in xs]
-    diffs = [b - a for a, b in zip(n_vals, n_vals[1:])]
-    if not all(d < 0.0 for d in diffs):
-        k = next((i for i, d in enumerate(diffs) if d >= 0.0), 0)  # as np.argmax
-        raise VerificationError(f"clause (a): slope control not decreasing at p_a = {xs[k]}")
-    if _sign_changes(n_vals) != 1:
-        raise VerificationError(f"clause (a): expected one zero, got {_sign_changes(n_vals)}")
-    n_zero_at = xs[next(i for i, v in enumerate(n_vals) if v < 0.0)]
-    if abs(n_zero_at - mid) > 2.0 * w / grid:
-        raise VerificationError(f"clause (a): zero at {n_zero_at}, expected near {mid}")
-
-    # (b) curvature function unimodal with peak at the symmetric point;
-    #     the straddling pair is skipped (float-flat at a quadratic maximum).
-    #     K - 4 is scanned: near the flat peak neighbouring values of K differ
-    #     by less than ulp(4) and would round to equal
+    n_zero_at = next((x for x, v in zip(xs, n_vals) if v < 0.0), xs[-1])
+    # K - 4 is scanned: near the flat peak neighbouring values of K differ by
+    # less than ulp(4) and would round to equal.  The pair that straddles
+    # (1+c)/2 is skipped (float-flat at a quadratic maximum)
     k_vals = [_k_log_terms(x, c) for x in xs]
     k_diffs = [b - a for a, b in zip(k_vals, k_vals[1:])]
-    if not all(d > 0.0 for x, d in zip(xs[1:], k_diffs) if x < mid):
-        raise VerificationError("clause (b): curvature function not rising before the peak")
-    if not all(d < 0.0 for x, d in zip(xs, k_diffs) if x > mid):
-        raise VerificationError("clause (b): curvature function not falling after the peak")
-
-    # (c) endpoint symmetry through the involution pairing; the 1e-4 inset
-    # keeps the dual point outside the raw-evaluation endpoint guard
+    # the 1e-4 inset keeps the dual point outside the raw-evaluation endpoint guard
     x_in = lo + 1e-4 * w
-    k_gap = abs(k_function(x_in, c) - k_function(_p_b(x_in, c), c))
-    if k_gap > 1e-8:
-        raise VerificationError(f"clause (c): endpoint values differ by {k_gap}")
-
-    # (d) sign changes of the stationarity function, by region
     e = _e_kernel(c)
-    e_count = _sign_changes([e(x) for x in xs])
-    expected = 3 if region.tag is RegionTag.H1 else 1
-    if e_count != expected:
-        raise VerificationError(
-            f"clause (d): {e_count} sign changes at c = {c}, expected {expected}"
-        )
-
-    # (e) extremum character of the objective at the symmetric point
     # (1+c)/2 lies at least w/4 from either end of the interval
     h_off = min(1e-4, w / 4.0)
     v0 = m1_objective(mid, c)
-    v_minus = m1_objective(mid - h_off, c)
-    v_plus = m1_objective(mid + h_off, c)
-    if region.tag is not RegionTag.F:
-        if not (v_minus < v0 and v_plus < v0):
-            raise VerificationError(f"clause (e): expected a maximum at (1+c)/2 for c = {c}")
-        extremum = "maximum"
-    else:
-        if not (v_minus > v0 and v_plus > v0):
-            raise VerificationError(f"clause (e): expected a minimum at (1+c)/2 for c = {c}")
-        extremum = "minimum"
-
     return ShapeSummary(
         c=c,
         region=str(region.tag),
-        e1_sign_changes=e_count,
-        n_zero_at=n_zero_at,
-        k_endpoint_gap=k_gap,
-        extremum=extremum,
+        n_steps_not_falling=sum(1 for a, b in zip(n_vals, n_vals[1:]) if not b - a < 0.0),
+        n_sign_changes=_sign_changes(n_vals),
+        n_zero_offset=abs(n_zero_at - mid) / step,
+        k_steps_not_rising=sum(1 for x, d in zip(xs[1:], k_diffs) if x < mid and not d > 0.0),
+        k_steps_not_falling=sum(1 for x, d in zip(xs, k_diffs) if x > mid and not d < 0.0),
+        k_endpoint_gap=abs(k_function(x_in, c) - k_function(_p_b(x_in, c), c)),
+        e1_sign_changes=_sign_changes([e(x) for x in xs]),
+        m1_step_below=m1_objective(mid - h_off, c) - v0,
+        m1_step_above=m1_objective(mid + h_off, c) - v0,
     )
 
 

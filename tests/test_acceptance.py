@@ -145,21 +145,26 @@ def test_criterion_07_branch_continuity():
 
 
 def test_criterion_08_shape_suite():
-    expected = {0.5: (1, "maximum"), 0.8: (3, "maximum"), 0.9: (1, "minimum")}
+    # E_1's sign changes, and the sign of the objective's steps away from
+    # (1+c)/2: negative at a maximum, positive at a minimum
+    expected = {0.5: (1, -1.0), 0.8: (3, -1.0), 0.9: (1, 1.0)}
     details = []
     ok = True
-    for c, (count, extremum) in expected.items():
-        summary = oracle.shape_check(c, grid=10_000)
+    for c, (count, sign) in expected.items():
+        s = oracle.shape_check(c, grid=10_000)
         good = (
-            summary.e1_sign_changes == count
-            and summary.extremum == extremum
-            and summary.k_endpoint_gap <= 1e-8
-            and abs(summary.n_zero_at - 0.5 * (1.0 + c)) <= 1e-3
+            (s.n_steps_not_falling, s.n_sign_changes) == (0, 1)
+            and s.n_zero_offset <= 2.0
+            and (s.k_steps_not_rising, s.k_steps_not_falling) == (0, 0)
+            and s.k_endpoint_gap <= 1e-8
+            and s.e1_sign_changes == count
+            and sign * s.m1_step_below > 0.0
+            and sign * s.m1_step_above > 0.0
         )
         ok &= good
         details.append(
-            f"c={c}: changes={summary.e1_sign_changes}, {summary.extremum}, "
-            f"k-gap={summary.k_endpoint_gap:.1e}"
+            f"c={c}: changes={s.e1_sign_changes}, {'maximum' if sign < 0 else 'minimum'}, "
+            f"zero {s.n_zero_offset:.2f} steps off, k-gap={s.k_endpoint_gap:.1e}"
         )
     report("criterion 8 (shape suite)", ok, "; ".join(details))
 

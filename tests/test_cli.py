@@ -6,16 +6,18 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eur import cli, core, oracle, solve
-from eur.errors import VerificationError
+from eur import cli, core, errors, oracle, solve
 
 LN2 = math.log(2.0)
 
@@ -531,17 +533,120 @@ class TestVerify:
         assert code == 0
         assert out.startswith(f"PASS shape c={float(c):g} ")
 
-    def test_shape_failure_is_reported_and_counted(self, capsys, monkeypatch):
-        def boom(c, grid):
-            raise VerificationError("boom")
+    # a summary that meets every bound of the shape suite, (a)'s offset and
+    # (c)'s gap at their bounds; each case below moves fields past a bound
+    SHAPE_PASS = oracle.ShapeSummary(0.3, "MuRegion", 0, 1, 2.0, 0, 0, 1e-8, 1, -1e-9, -1e-9)
+    SHAPE_BREAKS = {
+        "a-steps": ({"n_steps_not_falling": 1}, ["(a)"]),
+        "a-no-zero": ({"n_sign_changes": 0}, ["(a)"]),
+        "a-two-zeros": ({"n_sign_changes": 2}, ["(a)"]),
+        "a-offset": ({"n_zero_offset": math.nextafter(2.0, 3.0)}, ["(a)"]),
+        "b-before": ({"k_steps_not_rising": 1}, ["(b)"]),
+        "b-after": ({"k_steps_not_falling": 1}, ["(b)"]),
+        "c-gap": ({"k_endpoint_gap": math.nextafter(1e-8, 1.0)}, ["(c)"]),
+        "d-mu-0": ({"e1_sign_changes": 0}, ["(d)"]),
+        "d-mu-2": ({"e1_sign_changes": 2}, ["(d)"]),
+        "d-h1-2": ({"region": "H1Region", "e1_sign_changes": 2}, ["(d)"]),
+        "d-h1-4": ({"region": "H1Region", "e1_sign_changes": 4}, ["(d)"]),
+        "d-f-3": (
+            {"region": "FRegion", "e1_sign_changes": 3, "m1_step_below": 1e-9, "m1_step_above": 1e-9},
+            ["(d)"],
+        ),
+        "e-below-zero": ({"m1_step_below": 0.0}, ["(e)"]),
+        "e-above-zero": ({"m1_step_above": 0.0}, ["(e)"]),
+        "e-f-maximum": ({"region": "FRegion"}, ["(e)"]),
+        "e-f-zero": ({"region": "FRegion", "m1_step_below": 1e-9, "m1_step_above": 0.0}, ["(e)"]),
+        "all": (
+            {
+                "n_steps_not_falling": 3,
+                "k_steps_not_rising": 1,
+                "k_endpoint_gap": 1e-3,
+                "e1_sign_changes": 2,
+                "m1_step_above": 1e-9,
+            },
+            ["(a)", "(b)", "(c)", "(d)", "(e)"],
+        ),
+    }
 
-        monkeypatch.setattr(oracle, "shape_check", boom)
-        code, out, _ = run_cli(capsys, "verify", "--suite", "shape", "--c-list", "0.5")
+    def run_faked_shape(self, capsys, monkeypatch, summary):
+        monkeypatch.setattr(oracle, "shape_check", lambda c, grid: summary._replace(c=c))
+        return run_cli(capsys, "verify", "--suite", "shape", "--c-list", repr(0.1 + 0.2))
+
+    @pytest.mark.parametrize(
+        "changes,extremum",
+        [
+            ({}, "maximum"),
+            ({"region": "H1Region", "e1_sign_changes": 3}, "maximum"),
+            ({"region": "FRegion", "m1_step_below": 1e-300, "m1_step_above": 5e-324}, "minimum"),
+        ],
+    )
+    def test_shape_judge_passes_at_the_bounds(self, capsys, monkeypatch, changes, extremum):
+        summary = self.SHAPE_PASS._replace(**changes)
+        code, out, _ = self.run_faked_shape(capsys, monkeypatch, summary)
+        assert code == 0
+        lines = out.splitlines()
+        count = summary.e1_sign_changes
+        assert lines[0] == f"PASS shape c=0.3 sign-changes={count} extremum={extremum} endpoint-gap=1.00e-08"
+        assert lines[1].startswith("INFO shape measured limit of b_mu - m_inf")
+        assert lines[2:] == ["RESULT: 1 passed, 0 failed"]
+
+    @pytest.mark.parametrize("case", SHAPE_BREAKS)
+    def test_shape_judge_at_each_bound(self, capsys, monkeypatch, case):
+        # one clause broken one step past its bound, or every clause: the FAIL
+        # line names each failed clause in order and ends in the full overlap
+        changes, clauses = self.SHAPE_BREAKS[case]
+        code, out, _ = self.run_faked_shape(capsys, monkeypatch, self.SHAPE_PASS._replace(**changes))
         assert code == 4
         lines = out.splitlines()
-        assert lines[0] == "FAIL shape c=0.5 boom"
+        assert lines[0].startswith("FAIL shape c=0.3 clause ")
+        assert lines[0].endswith(" at c = 0.30000000000000004")
+        assert re.findall(r"clause (\(\w\))", lines[0]) == clauses
+        assert lines[0].count("; ") == len(clauses) - 1
         assert lines[1].startswith("INFO shape measured limit of b_mu - m_inf")
         assert lines[2:] == ["RESULT: 0 passed, 1 failed"]
+
+    def test_shape_fail_lines_name_every_failed_clause(self, capsys):
+        # the real oracle: two ulps below c_star E_1 shows one sign change and
+        # the objective no maximum; at 1e-12 the sample step is below ulp(0.5)
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "shape", "--c-list", "0.8335565596009646", "1e-12"
+        )
+        assert code == 4
+        lines = out.splitlines()
+        assert lines[0].startswith("FAIL shape c=0.833557 clause (d): 1 sign changes, expected 3; ")
+        assert lines[0].endswith(" at c = 0.8335565596009646")
+        assert lines[1].startswith("FAIL shape c=1e-12 clause (a): ")
+        assert lines[1].endswith(" at c = 1e-12")
+        assert [re.findall(r"clause (\(\w\))", line) for line in lines[:2]] == [
+            ["(d)", "(e)"],
+            ["(a)", "(b)", "(e)"],
+        ]
+        assert lines[-1] == "RESULT: 0 passed, 2 failed"
+
+    def test_benchmark_parser_reads_shape_lines(self, capsys):
+        # perfbench/checks.py parses verify output; it is read, never imported
+        # as a package module, and mpmath's precision is restored after it sets it
+        from mpmath import mp
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+        namespace = {"__name__": "perfbench_checks"}
+        with mp.workdps(mp.dps):
+            exec(compile(path.read_text(), str(path), "exec"), namespace)
+        c_list = [0.5, 1e-12, 0.8335565596009646, 0.9]
+        code, out, _ = run_cli(capsys, "verify", "--suite", "shape", "--c-list", *map(repr, c_list))
+        assert code == 4
+        parsed = namespace["parse_verify"](out)
+        assert [line[:3] for line in parsed["lines"]] == [
+            ("PASS", "shape", 0.5),
+            ("FAIL", "shape", 1e-12),
+            ("FAIL", "shape", 0.833557),
+            ("PASS", "shape", 0.9),
+        ]
+        assert parsed["result"] == (2, 2)
+        # the overlap read from a FAIL line places it in a known-fail window
+        op = SimpleNamespace(kind="shape", c_list=c_list)
+        known = namespace["check_op"](op, code, out, "").known
+        assert [line.split(" clause ")[0] for line in known] == ["FAIL shape c=1e-12"]
 
     def test_random_failure_is_reported_per_dimension(self, capsys, monkeypatch):
         calls = []
@@ -716,7 +821,7 @@ class TestGridSetting:
 
         def shape_check(c, grid):
             grids.append(("shape_check", grid))
-            return oracle.ShapeSummary(c, "FRegion", 1, 0.0, 0.0, "maximum")
+            return oracle.ShapeSummary(c, "FRegion", 0, 1, 0.0, 0, 0, 0.0, 1, 1e-9, 1e-9)
 
         monkeypatch.setattr(oracle, "grid_min", grid_min)
         monkeypatch.setattr(oracle, "shape_check", shape_check)
@@ -789,17 +894,25 @@ class TestConfigPrecedence:
         assert "(tol 1e-12)" in out  # the env override is active, not the default 1e-9
 
 
-class TestExitCodes:
-    def test_convergence_failure_exit_3(self, capsys, monkeypatch):
-        from eur.errors import ConvergenceError
+# the documented exit code of every error class that `eur` can end in
+_EXIT_CODE_BY_ERROR = {
+    "DomainError": 2,
+    "SingularValueError": 2,
+    "BracketError": 3,
+    "ConvergenceError": 3,
+}
 
+
+class TestExitCodes:
+    @pytest.mark.parametrize("name", [name for name in errors.__all__ if name != "EurError"])
+    def test_error_class_exit_code(self, capsys, monkeypatch, name):
+        # a class with no documented code fails here, not as a traceback from main
         def boom():
-            raise ConvergenceError("no convergence")
+            raise getattr(errors, name)("no result")
 
         monkeypatch.setattr(cli.solve, "c_star", boom)
-        code, _, err = run_cli(capsys, "constants")
-        assert code == 3
-        assert "no convergence" in err
+        code, out, err = run_cli(capsys, "constants")
+        assert (code, out, err) == (_EXIT_CODE_BY_ERROR[name], "", "error: no result\n")
 
     def test_mirrored_value_failure_exit_3(self, capsys, monkeypatch):
         # the mirror of the H1 witness off by 1e-6: the H1 solve's own check fires

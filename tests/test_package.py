@@ -222,7 +222,19 @@ _RECORD_FIELDS = {
     eur.CritiqueReport: ("c", "theta", "interval", "roots"),
     oracle.OracleReport: ("c", "oracle_min", "analytic_ref", "gap", "argmin", "resolution"),
     oracle.RandomStateSummary: ("dim", "samples", "seed", "min_margin", "argmin_index", "argmin_overlap"),
-    oracle.ShapeSummary: ("c", "region", "e1_sign_changes", "n_zero_at", "k_endpoint_gap", "extremum"),
+    oracle.ShapeSummary: (
+        "c",
+        "region",
+        "n_steps_not_falling",
+        "n_sign_changes",
+        "n_zero_offset",
+        "k_steps_not_rising",
+        "k_steps_not_falling",
+        "k_endpoint_gap",
+        "e1_sign_changes",
+        "m1_step_below",
+        "m1_step_above",
+    ),
     cli.Check: ("suite", "passed", "text"),
 }
 
