@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import DomainError, SingularValueError
 
@@ -266,12 +266,6 @@ def m1_objective(p_a: float, c: float) -> float:
     return binary_entropy(p_a) + binary_entropy(_p_b(p_a, c))
 
 
-def _log_ratio(num: float, den: float) -> float:
-    if num <= 0.0 or den <= 0.0:
-        raise SingularValueError(f"nonpositive log argument: {num!r}/{den!r}")
-    return math.log(num / den)
-
-
 def e_function(p_a: float, c: float, m: int = 1) -> float:
     """Scaled slope of the constrained entropy sum in P_A, with the B side
     carrying multiplicity m:
@@ -291,17 +285,74 @@ def e_function(p_a: float, c: float, m: int = 1) -> float:
 def _e_kernel(c: float, m: int = 1) -> Callable[[float], float]:
     """E_m(., c) as a function of P_A alone, without e_function's checks.
 
-    Bound once per overlap for callers that evaluate it at many P_A already
-    known to lie strictly inside the admissible interval: the H1 root solve
-    and the shape oracle's scan."""
+    Bound once per overlap for the H1 root solve, which evaluates it at many
+    P_A already known to lie strictly inside the admissible interval.  It
+    computes E_m and its terms, never N or K."""
+    # a float m gives the same products as an integral m (Python converts it
+    # to float to multiply), and float products take the interpreter's fast path
+    mf = float(m)
 
     def e(p_a: float) -> float:
-        p_b = _p_b(p_a, c)
-        term_b = m * math.sqrt(p_b * (1.0 - p_b)) * _log_ratio(p_b, 1.0 - m * p_b)
-        term_a = math.sqrt(p_a * (1.0 - p_a)) * _log_ratio(p_a, 1.0 - p_a)
-        return term_b - term_a
+        return _e_terms(p_a, c, mf)[0]
 
     return e
+
+
+def _e_terms(
+    p_a: float, c: float, m: float = 1.0
+) -> tuple[float, float, float, float, float, float]:
+    """E_m at P_A without e_function's checks, followed by the terms it is
+    built from:
+
+        (E_m, P_B, sqrt(P_B(1-P_B)), ln(P_B/(1 - m P_B)),
+         sqrt(P_A(1-P_A)), ln(P_A/(1-P_A))).
+
+    m is a positive integer, passed as a float.  At m = 1 these are also the
+    terms of N and K - 4, so _curves builds all three from one call per
+    sample.  A nonpositive log argument raises SingularValueError, the B
+    side's first.
+    """
+    p_b = _p_b(p_a, c)
+    den_b = 1.0 - m * p_b
+    if p_b <= 0.0 or den_b <= 0.0:
+        raise SingularValueError(f"nonpositive log argument: {p_b!r}/{den_b!r}")
+    den_a = 1.0 - p_a
+    if p_a <= 0.0 or den_a <= 0.0:
+        raise SingularValueError(f"nonpositive log argument: {p_a!r}/{den_a!r}")
+    sb = math.sqrt(p_b * (1.0 - p_b))
+    lb = math.log(p_b / den_b)
+    sa = math.sqrt(p_a * den_a)
+    la = math.log(p_a / den_a)
+    return m * sb * lb - sa * la, p_b, sb, lb, sa, la
+
+
+def _curves(
+    ps: Iterable[float], c: float
+) -> tuple[list[float], list[float], list[float]]:
+    """N, K - 4 and E_1 at each P_A of ps, in order, without their checks,
+    each built from one evaluation of their shared terms by _e_terms; for
+    P_A strictly inside the admissible interval (the shape oracle samples
+    them).
+
+    At the first P_A where P_A or P_B is 0 or 1, N's SingularValueError is
+    raised.  P_A and P_B lie in [0, 1], so those are exactly the points where
+    a square root of _e_terms is 0 and where, at m = 1, one of its log
+    arguments is nonpositive.
+    """
+    n_vals: list[float] = []
+    k_vals: list[float] = []
+    e_vals: list[float] = []
+    try:
+        for p_a in ps:
+            e1, p_b, sb, lb, sa, la = _e_terms(p_a, c)
+            n_vals.append(
+                2.0 * sb * lb - (1.0 - 2.0 * p_b) / sb - 2.0 * sa * la + (1.0 - 2.0 * p_a) / sa
+            )
+            k_vals.append(_k_log_terms(p_a, p_b, lb, la))
+            e_vals.append(e1)
+    except SingularValueError:
+        raise SingularValueError("n_function undefined at probability 0 or 1") from None
+    return n_vals, k_vals, e_vals
 
 
 def e_limit_lo(c: float) -> float:
@@ -340,15 +391,15 @@ def k_function(p_a: float, c: float) -> float:
     and falls beyond it.
     """
     _require_interior(p_a, c)
-    return _k_log_terms(p_a, c) + 4.0
+    _, p_b, _, lb, _, la = _e_terms(p_a, c)
+    return _k_log_terms(p_a, p_b, lb, la) + 4.0
 
 
-def _k_log_terms(p_a: float, c: float) -> float:
-    # the two log terms of K, without the constant 4: near the flat peak of
-    # K they resolve steps below ulp(4) (the shape oracle samples them)
-    p_b = _p_b(p_a, c)
-    term_b = (1.0 - 2.0 * p_b) * _log_ratio(p_b, 1.0 - p_b)
-    return term_b + (1.0 - 2.0 * p_a) * _log_ratio(p_a, 1.0 - p_a)
+def _k_log_terms(p_a: float, p_b: float, lb: float, la: float) -> float:
+    # the two log terms of K, without the constant 4, from the log ratios lb
+    # and la of _e_terms at m = 1: near the flat peak of K they resolve steps
+    # below ulp(4) (the shape oracle samples them)
+    return (1.0 - 2.0 * p_b) * lb + (1.0 - 2.0 * p_a) * la
 
 
 def k_max_value(c: float) -> float:
@@ -392,23 +443,7 @@ def n_function(p_a: float, c: float) -> float:
     interval with its unique zero at P_A = (1+c)/2.
     """
     _require_interior(p_a, c)
-    return _n_value(p_a, c)
-
-
-def _n_value(p_a: float, c: float) -> float:
-    # n_function without its checks, for p_a already known to be strictly
-    # inside the admissible interval (the shape oracle samples it)
-    p_b = _p_b(p_a, c)
-    sa = math.sqrt(p_a * (1.0 - p_a))
-    sb = math.sqrt(p_b * (1.0 - p_b))
-    if sa == 0.0 or sb == 0.0:
-        raise SingularValueError("n_function undefined at probability 0 or 1")
-    return (
-        2.0 * sb * _log_ratio(p_b, 1.0 - p_b)
-        - (1.0 - 2.0 * p_b) / sb
-        - 2.0 * sa * _log_ratio(p_a, 1.0 - p_a)
-        + (1.0 - 2.0 * p_a) / sa
-    )
+    return _curves((p_a,), c)[0][0]
 
 
 def r_function(x: float) -> float:

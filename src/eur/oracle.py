@@ -19,7 +19,9 @@ Five checks, each attacking the closed-form results from a different side:
   * shape_check       -- sampled measurements of the monotonicity and sign
                          structure of the auxiliary curves (slope,
                          curvature, their controls) and of the extremum
-                         character of the constrained objective;
+                         character of the constrained objective; N, K and
+                         E_1 are sampled in one pass, from one evaluation of
+                         their shared terms per sample;
   * boundary_case_min -- the two boundary candidate families (P_A = 1 and
                          reciprocal lattice pairs), with the signed gap of
                          the better one over the piecewise bound.
@@ -41,10 +43,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 from .core import (
     INV_SQRT2,
     _check_unit,
-    _e_kernel,
-    _k_log_terms,
+    _curves,
     _lattice_multiplicity,
-    _n_value,
     _p_b,
     admissible_interval,
     b_mu,
@@ -377,9 +377,10 @@ def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
 
     The samples lo + i w / grid, i = 1..grid-1, increase, so once the first
     and the last pass n_function, every sample lies strictly inside the
-    admissible interval and the scans of clauses (a), (b) and (d) run on the
-    unchecked kernels _n_value, _k_log_terms and E_1 bound once to c by
-    _e_kernel.
+    admissible interval.  Clauses (a), (b) and (d) then share one pass, the
+    unchecked _curves: at each sample it gives N, K - 4 and E_1 from one
+    P_B and one square root and log ratio per side, and it raises N's error
+    where N is undefined.
     """
     if not isinstance(grid, numbers.Integral) or grid < 1000:
         raise DomainError(f"grid must be an integer of at least 1000, got {grid!r}")
@@ -392,16 +393,14 @@ def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
     n_function(xs[0], c)
     n_function(xs[-1], c)
 
-    n_vals = [_n_value(x, c) for x in xs]
-    n_zero_at = next((x for x, v in zip(xs, n_vals) if v < 0.0), xs[-1])
     # K - 4 is scanned: near the flat peak neighbouring values of K differ by
-    # less than ulp(4) and would round to equal.  The pair that straddles
-    # (1+c)/2 is skipped (float-flat at a quadratic maximum)
-    k_vals = [_k_log_terms(x, c) for x in xs]
+    # less than ulp(4) and would round to equal
+    n_vals, k_vals, e_vals = _curves(xs, c)
+    n_zero_at = next((x for x, v in zip(xs, n_vals) if v < 0.0), xs[-1])
+    # the pair that straddles (1+c)/2 is skipped (float-flat at a quadratic maximum)
     k_diffs = [b - a for a, b in zip(k_vals, k_vals[1:])]
     # the 1e-4 inset keeps the dual point outside the raw-evaluation endpoint guard
     x_in = lo + 1e-4 * w
-    e = _e_kernel(c)
     # (1+c)/2 lies at least w/4 from either end of the interval
     h_off = min(1e-4, w / 4.0)
     v0 = m1_objective(mid, c)
@@ -414,7 +413,7 @@ def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
         k_steps_not_rising=sum(1 for x, d in zip(xs[1:], k_diffs) if x < mid and not d > 0.0),
         k_steps_not_falling=sum(1 for x, d in zip(xs, k_diffs) if x > mid and not d < 0.0),
         k_endpoint_gap=abs(k_function(x_in, c) - k_function(_p_b(x_in, c), c)),
-        e1_sign_changes=_sign_changes([e(x) for x in xs]),
+        e1_sign_changes=_sign_changes(e_vals),
         m1_step_below=m1_objective(mid - h_off, c) - v0,
         m1_step_above=m1_objective(mid + h_off, c) - v0,
     )

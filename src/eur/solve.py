@@ -10,7 +10,9 @@ Provides the bracketed hybrid root finder, the two critical overlaps
 the asymmetric-branch bound h1_bound, the full piecewise bound b_vs with
 region classification, and the scan that reproduces the spurious solutions of
 the trigonometric stationarity equation in the angle variable alpha (where
-P_A = cos^2(alpha), P_B = cos^2(theta - alpha)).
+P_A = cos^2(alpha), P_B = cos^2(theta - alpha)).  The scan's grid does not
+depend on theta, so the equation's theta-free term is tabulated on it once
+per process, at the first scan, and each overlap computes only the other term.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .core import (
     INV_SQRT2,
@@ -33,6 +35,9 @@ from .core import (
     k_max_value,
 )
 from .errors import BracketError, ConvergenceError, DomainError, SingularValueError
+
+if TYPE_CHECKING:
+    from array import array
 
 __all__ = [
     "RootResult",
@@ -329,17 +334,60 @@ def eqsin_residual(alpha: float, theta: float) -> float:
 
 def _eqsin_value(alpha: float, theta: float) -> float:
     # eqsin_residual without its checks, for finite angles outside the
-    # exclusion radius of the identical-zero points (the eqsin_roots scan)
-    d = alpha - theta
-    a2, d2 = 2.0 * alpha, 2.0 * d
+    # exclusion radius of the identical-zero points (the eqsin_roots
+    # refinement and the critique residuals)
+    value = _eqsin_alpha_term(alpha) + _eqsin_theta_term(alpha, theta)
+    if value != value:
+        raise SingularValueError(f"nonpositive log argument at alpha = {alpha!r}")
+    return value
+
+
+# Each term is nan where one of its log arguments is nonpositive, and only
+# there: elsewhere the first is finite and the second finite or +-inf, so
+# their sum is nan exactly where the residual is singular.
+
+
+def _eqsin_alpha_term(alpha: float) -> float:
+    # sin(2a) ln((1+cos 2a)/(1-cos 2a)), the theta-free term
+    a2 = 2.0 * alpha
     cos2a = math.cos(a2)
+    num, den = 1.0 + cos2a, 1.0 - cos2a
+    if num <= 0.0 or den <= 0.0:
+        return math.nan
+    return math.sin(a2) * math.log(num / den)
+
+
+def _eqsin_theta_term(alpha: float, theta: float) -> float:
+    # sin(2(a-t)) ln((1+cos 2(a-t)) / (2(1-cos^2(a-t)))), the other term
+    d = alpha - theta
+    d2 = 2.0 * d
     cos2d = math.cos(d2)
     sin_d = math.sin(d)
-    num1, den1 = 1.0 + cos2a, 1.0 - cos2a
-    num2, den2 = 1.0 + cos2d, 2.0 * sin_d * sin_d  # 2(1 - cos^2) = 2 sin^2
-    if num1 <= 0.0 or den1 <= 0.0 or num2 <= 0.0 or den2 <= 0.0:
-        raise SingularValueError(f"nonpositive log argument at alpha = {alpha!r}")
-    return math.sin(a2) * math.log(num1 / den1) + math.sin(d2) * math.log(num2 / den2)
+    num, den = 1.0 + cos2d, 2.0 * sin_d * sin_d  # 2(1 - cos^2) = 2 sin^2
+    if num <= 0.0 or den <= 0.0:
+        return math.nan
+    return math.sin(d2) * math.log(num / den)
+
+
+_SCAN_LO, _SCAN_HI = -0.25 * math.pi, 0.5 * math.pi  # the eqsin_roots window
+
+
+@lru_cache(maxsize=1)
+def _alpha_terms() -> array:
+    """_eqsin_alpha_term at the eqsin_roots scan angles
+    _SCAN_LO + k _SCAN_STEP, k = 1, 2, ..., below _SCAN_HI, in order; nan
+    where a log argument is nonpositive.  The scan grid does not depend on
+    theta, so the table is built once per process, at the first scan; array
+    is imported here, since it is a shared library that only the scan uses."""
+    from array import array
+
+    table = array("d")
+    for k in range(1, int((_SCAN_HI - _SCAN_LO) / _SCAN_STEP) + 1):
+        x = _SCAN_LO + k * _SCAN_STEP
+        if x >= _SCAN_HI:
+            break
+        table.append(_eqsin_alpha_term(x))
+    return table
 
 
 def eqsin_roots(theta: float) -> list[float]:
@@ -347,47 +395,61 @@ def eqsin_roots(theta: float) -> list[float]:
 
     Scans at the fixed step _SCAN_STEP = 1e-4, refines each sign change with
     find_root, skips the identical-zero points and their 1e-6
-    neighborhoods, and merges refined roots closer than one step.  The scan
-    window covers one full period of the cos^2 parametrization.  Scan and
-    refinement run on the unchecked _eqsin_value: every scan angle is finite
-    and outside both neighborhoods, and a bracket can straddle an
-    identical-zero point, but a refinement that converges onto one returns
-    a root inside its neighborhood, which is dropped.
+    neighborhoods, and merges refined roots closer than one step.
+
+    The residual has period pi/2 in alpha: alpha -> alpha + pi/2 maps
+    (P_A, P_B) to (1 - P_A, 1 - P_B) and leaves both of its terms unchanged.
+    The window therefore spans 1.5 periods, and a root in (-pi/4, 0) is
+    found again at its translate in (pi/4, pi/2); at c = 0.6, 1.017222 and
+    1.48087 are the translates of -0.553574 and -0.089927.
+
+    The residual is the sum of a theta-free term in alpha and a term in
+    alpha - theta.  The scan reads the first from a table over its fixed
+    grid (_alpha_terms, built once per process) and computes only the
+    second, so each sample is the same float as _eqsin_value.  Scan and
+    refinement run on the unchecked terms: every scan angle is finite and
+    outside both neighborhoods, and a bracket can straddle an identical-zero
+    point, but a refinement that converges onto one returns a root inside
+    its neighborhood, which is dropped.
     """
     if not (0.0 < theta < 0.5 * math.pi):
         raise DomainError(f"theta must lie in (0, pi/2), got {theta!r}")
-    lo, hi = -0.25 * math.pi, 0.5 * math.pi
     e1, e2 = _excluded_points(theta)
+    # an exclusion neighborhood is far narrower than a step, so the only scan
+    # angle that can lie in it is the one nearest its point
+    skipped = set()
+    for e in (e1, e2):
+        k = round((e - _SCAN_LO) / _SCAN_STEP)
+        if abs(_SCAN_LO + k * _SCAN_STEP - e) <= _EXCLUSION_RADIUS:
+            skipped.add(k)
 
-    n = int((hi - lo) / _SCAN_STEP)
     roots: list[float] = []
-    prev: Optional[tuple[float, float]] = None
-    for k in range(1, n + 1):
-        x = lo + k * _SCAN_STEP
-        if x >= hi:
-            break
-        if abs(x - e1) <= _EXCLUSION_RADIUS or abs(x - e2) <= _EXCLUSION_RADIUS:
-            prev = None
+    # the previous sample, if it can bracket a crossing; prev_v is never 0
+    # or nan otherwise, so prev_v = 0.0 marks that there is none
+    prev_x = prev_v = 0.0
+    for k, term_a in enumerate(_alpha_terms(), 1):
+        if k in skipped:
+            prev_v = 0.0
             continue
-        try:
-            v = _eqsin_value(x, theta)
-        except SingularValueError:
-            prev = None
+        x = _SCAN_LO + k * _SCAN_STEP
+        v = term_a + _eqsin_theta_term(x, theta)
+        if v != v:  # singular
+            prev_v = 0.0
             continue
         if v == 0.0:
             roots.append(x)
-            prev = None
+            prev_v = 0.0
             continue
-        if prev is not None and math.copysign(1.0, prev[1]) != math.copysign(1.0, v):
+        if prev_v < 0.0 < v or v < 0.0 < prev_v:
             try:
-                rr = find_root(lambda a: _eqsin_value(a, theta), prev[0], x, abs_tol=1e-12)
+                rr = find_root(lambda a: _eqsin_value(a, theta), prev_x, x, abs_tol=1e-12)
             except SingularValueError:
                 # a log argument cancelled to 0: the crossing is dropped, and
                 # for c <= 1e-8 that loses the root near -c/2
                 pass
             else:
                 roots.append(rr.root)
-        prev = (x, v)
+        prev_x, prev_v = x, v
 
     roots = [
         r for r in roots if abs(r - e1) > _EXCLUSION_RADIUS and abs(r - e2) > _EXCLUSION_RADIUS

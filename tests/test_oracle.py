@@ -50,9 +50,19 @@ def reference_sign_changes(values):
     return int(np.sum(s[1:] * s[:-1] < 0.0))
 
 
+def reference_k_minus_4(p_a, c):
+    """The two log terms of k_function, without the constant 4, from the
+    checked p_b_of_p_a."""
+    p_b = core.p_b_of_p_a(p_a, c)
+    return (1.0 - 2.0 * p_b) * math.log(p_b / (1.0 - p_b)) + (1.0 - 2.0 * p_a) * math.log(
+        p_a / (1.0 - p_a)
+    )
+
+
 def reference_shape_check(c, grid=10_000):
     """The numpy shape_check that the plain-Python one replaces: every sample
-    through the checked n_function, k_function and e_function."""
+    through the checked n_function and e_function, and K - 4 through
+    reference_k_minus_4, each with its own P_B, square roots and logs."""
     region = oracle.classify_region(c)
     iv = core.admissible_interval(c)
     lo, w = iv.lo, iv.width
@@ -63,8 +73,9 @@ def reference_shape_check(c, grid=10_000):
     negative = np.flatnonzero(n_vals < 0.0)
     n_zero_at = float(xs[negative[0]] if negative.size else xs[-1])
 
-    # K - 4, as shape_check scans it; n_function has checked every sample
-    k_vals = np.array([core._k_log_terms(float(x), c) for x in xs])
+    # K - 4, as shape_check scans it, written out here rather than taken from
+    # the scan's shared terms; n_function has checked every sample
+    k_vals = np.array([reference_k_minus_4(float(x), c) for x in xs])
     k_diffs = np.diff(k_vals)
 
     x_in = lo + 1e-4 * w

@@ -2,6 +2,7 @@
 the angle-equation critique."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -265,6 +266,25 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def separate_curves(p_a, c):
+    """N, K - 4 and E_1 at p_a as three separate formulas, each through the
+    checked p_b_of_p_a and its own square roots and log ratios."""
+    p_b = core.p_b_of_p_a(p_a, c)
+    n = (
+        2.0 * math.sqrt(p_b * (1.0 - p_b)) * math.log(p_b / (1.0 - p_b))
+        - (1.0 - 2.0 * p_b) / math.sqrt(p_b * (1.0 - p_b))
+        - 2.0 * math.sqrt(p_a * (1.0 - p_a)) * math.log(p_a / (1.0 - p_a))
+        + (1.0 - 2.0 * p_a) / math.sqrt(p_a * (1.0 - p_a))
+    )
+    k = (1.0 - 2.0 * p_b) * math.log(p_b / (1.0 - p_b)) + (1.0 - 2.0 * p_a) * math.log(
+        p_a / (1.0 - p_a)
+    )
+    e1 = math.sqrt(p_b * (1.0 - p_b)) * math.log(p_b / (1.0 - p_b)) - math.sqrt(
+        p_a * (1.0 - p_a)
+    ) * math.log(p_a / (1.0 - p_a))
+    return n, k, e1
+
+
 class TestUncheckedKernel:
     """The H1 root solve evaluates only the unchecked kernels: E_1 bound to c
     by core._e_kernel (bracket ends and iterates) and core._p_b (the witness
@@ -332,10 +352,42 @@ class TestUncheckedKernel:
         e = core._e_kernel(c)
         for t in (1e-6, 0.01, 0.2, 0.5, 0.8, 0.99, 1.0 - 1e-6):
             p = iv.lo + t * iv.width
+            n, k, e1 = separate_curves(p, c)
             assert core._p_b(p, c) == core.p_b_of_p_a(p, c)
-            assert e(p) == core.e_function(p, c)
-            assert core._n_value(p, c) == core.n_function(p, c)
-            assert core._k_log_terms(p, c) + 4.0 == core.k_function(p, c)
+            assert e(p) == core.e_function(p, c) == e1
+            assert core.n_function(p, c) == n
+            assert core.k_function(p, c) == k + 4.0
+
+    def test_shared_terms_equal_separate_formulas(self):
+        """N, K - 4 and E_1 from one evaluation of their shared terms are ==
+        to the three formulas evaluated separately, at 200 points of each of
+        40 overlaps from 0.01 to 0.99 and at 1/sqrt(2) and c_star."""
+        cs = [0.01 + 0.98 * j / 39 for j in range(40)] + [core.INV_SQRT2, solve.c_star().root]
+        for c in cs:
+            iv = core.admissible_interval(c)
+            ps = [iv.lo + iv.width * i / 201 for i in range(1, 201)]
+            expected = [separate_curves(p, c) for p in ps]
+            assert core._curves(ps, c) == tuple(list(column) for column in zip(*expected))
+
+    def test_singular_messages(self):
+        """Where P_B rounds to 1 at an interior P_A, n_function raises N's
+        message, and k_function and e_function that of the log ratio of the
+        B side."""
+        for c in (1.0 - 1e-6, 1.0 - 1e-9, 0.9999999999995):
+            iv = core.admissible_interval(c)
+            p = iv.lo
+            while not (iv.strict_interior(p) and core.p_b_of_p_a(p, c) == 1.0):
+                p = math.nextafter(p, 1.0)
+            assert p - iv.lo < 1e-3 * iv.width
+            n_message = r"^n_function undefined at probability 0 or 1$"
+            with pytest.raises(SingularValueError, match=n_message):
+                core.n_function(p, c)
+            with pytest.raises(SingularValueError, match=r"^nonpositive log argument: 1\.0/0\.0$"):
+                core.k_function(p, c)
+            with pytest.raises(SingularValueError, match=r"^nonpositive log argument: 1\.0/0\.0$"):
+                core.e_function(p, c)
+            with pytest.raises(SingularValueError, match=r"^n_function undefined"):
+                core._curves([0.5 * (1.0 + c), p], c)
 
 
 class TestBVs:
@@ -472,9 +524,13 @@ class TestEqsinResidual:
         assert abs(val) <= 1e-6
 
     def test_singular_points(self):
+        # a nonpositive log argument in either term: cos 2a = 1 at alpha = 0,
+        # sin(a - t) = 0 at alpha = theta
         theta = math.acos(0.6)
-        with pytest.raises(SingularValueError):
-            solve.eqsin_residual(0.0, theta)
+        for alpha in (0.0, theta):
+            message = f"^nonpositive log argument at alpha = {alpha!r}$"
+            with pytest.raises(SingularValueError, match=message):
+                solve.eqsin_residual(alpha, theta)
 
     # 1e308 is finite, but 2 * 1e308 is not
     @pytest.mark.parametrize(
@@ -525,21 +581,108 @@ def reference_eqsin_roots(theta):
     return deduped
 
 
+# where the extra roots are born (ROADMAP item 6), and an overlap whose
+# angle rounds to within 1e-15 of pi/2
+_BIRTH_OVERLAPS = [
+    0.5524341245247490,
+    0.5524341245247495,
+    0.55243412452475,
+    0.552434125,
+    0.55243413,
+]
+_ORDER_OVERLAPS = _BIRTH_OVERLAPS + [1e-15, 1e-8, 0.3, 0.6, 0.7071067811865466]
+
+
 class TestEqsinRoots:
-    # near 0 and pi/2, overlaps on both sides of 1/sqrt(2) and at the tiny
-    # overlaps whose root near -c/2 is lost, every pi/32, and two angles that
-    # put a scan point on theta/2 and on theta/2 + pi/4
+    # near 0 and pi/2, overlaps on both sides of 1/sqrt(2), at the tiny
+    # overlaps whose root near -c/2 is lost and across (0, 1/sqrt(2)), every
+    # pi/32 and every pi/128 in between, two angles that put a scan point on
+    # theta/2 and on theta/2 + pi/4, and the birth region of the extra roots
     @pytest.mark.parametrize(
         "theta",
         [1e-9, 1e-6, 1e-3, 0.5 * math.pi - 1e-3, 0.5 * math.pi - 1e-6]
         + [math.nextafter(0.5 * math.pi, 0.0)]
         + [math.acos(c) for c in (0.1, 0.3, 0.5, 0.6, 0.7, 0.7071, 0.8, 0.99)]
-        + [math.acos(c) for c in (1e-8, 1e-12, 0.7071067811865466)]
+        + [math.acos(c) for c in (1e-8, 1e-12, 1e-15, 0.7071067811865466)]
+        + [
+            math.acos(c)
+            for c in (1e-4, 0.05, 0.15, 0.2, 0.25, 0.35, 0.4, 0.45, 0.55, 0.65, 0.68, 0.69, 0.705)
+        ]
         + [k * math.pi / 32 for k in range(1, 16)]
-        + [2.0 * (-0.25 * math.pi + 10_000 * 1e-4), 2.0 * (-0.5 * math.pi + 20_000 * 1e-4)],
+        + [k * math.pi / 128 for k in range(1, 64) if k % 4]
+        + [2.0 * (-0.25 * math.pi + 10_000 * 1e-4), 2.0 * (-0.5 * math.pi + 20_000 * 1e-4)]
+        + [math.acos(c) for c in _BIRTH_OVERLAPS],
     )
     def test_equals_checked_scan(self, theta):
         assert solve.eqsin_roots(theta) == reference_eqsin_roots(theta)
+
+    def test_call_order_and_table_rebuild(self):
+        """The roots do not depend on the order of the calls, nor on whether
+        the table of the theta-free term was built by an earlier call."""
+        thetas = [math.acos(c) for c in _ORDER_OVERLAPS]
+        expected = {t: reference_eqsin_roots(t) for t in thetas}
+        for seed in (1, 2):
+            shuffled = list(thetas)
+            random.Random(seed).shuffle(shuffled)
+            solve._alpha_terms.cache_clear()
+            assert {t: solve.eqsin_roots(t) for t in shuffled} == expected
+        solve._alpha_terms.cache_clear()
+        assert {t: solve.eqsin_roots(t) for t in reversed(thetas)} == expected
+
+    def test_alpha_table(self):
+        """One entry per scan angle, each the theta-free term of the
+        residual there, or nan where that term is singular."""
+        table = solve._alpha_terms()
+        assert table is solve._alpha_terms()
+        lo = -0.25 * math.pi
+        angles = [lo + k * solve._SCAN_STEP for k in range(1, len(table) + 2)]
+        assert angles[-2] < 0.5 * math.pi <= angles[-1]
+        # no scan angle is singular: the closest to 0 is 1.8e-6
+        assert list(table) == [solve._eqsin_alpha_term(x) for x in angles[:-1]]
+        theta = math.acos(0.6)
+        for k in (1, 5000, 12_345, len(table)):
+            x = angles[k - 1]
+            residual = solve.eqsin_residual(x, theta)
+            assert table[k - 1] + solve._eqsin_theta_term(x, theta) == residual
+
+    def test_singular_alpha_term_is_skipped(self, monkeypatch):
+        """A scan angle where the theta-free term is singular (nan) is a nan
+        in the table and is skipped like the checked scan skips it: here the
+        one just above the root near -0.5536 at c = 0.6, which loses that
+        root."""
+        theta = math.acos(0.6)
+        k = math.ceil((-0.5535743588970451 + 0.25 * math.pi) / solve._SCAN_STEP)
+        singular = -0.25 * math.pi + k * solve._SCAN_STEP
+        alpha_term = solve._eqsin_alpha_term
+
+        def singular_at(alpha):
+            return math.nan if alpha == singular else alpha_term(alpha)
+
+        monkeypatch.setattr(solve, "_eqsin_alpha_term", singular_at)
+        solve._alpha_terms.cache_clear()
+        try:
+            assert math.isnan(solve._alpha_terms()[k - 1])
+            roots = solve.eqsin_roots(theta)
+            assert roots == reference_eqsin_roots(theta)
+            assert len(roots) == 4 and roots[0] > -0.4
+        finally:
+            solve._alpha_terms.cache_clear()
+
+    def test_window_spans_one_and_a_half_periods(self):
+        """The residual has period pi/2 in alpha, so the roots that the
+        window (-pi/4, pi/2) finds above pi/4 are the translates of those in
+        (-pi/4, 0).  At c = 0.6 two of the five are."""
+        theta = math.acos(0.6)
+        for a in (-0.7, -0.5, -0.3, -0.1, 0.1, 0.2):
+            assert solve.eqsin_residual(a + 0.5 * math.pi, theta) == pytest.approx(
+                solve.eqsin_residual(a, theta), rel=1e-12, abs=1e-14
+            )
+        roots = solve.eqsin_roots(theta)
+        expected = [-0.553574, -0.321751, -0.089927, 1.017222, 1.48087]
+        assert roots == pytest.approx(expected, abs=1e-5)
+        lower = [r for r in roots if r < 0.0]
+        for r in roots[3:]:
+            assert min(abs(r - 0.5 * math.pi - r0) for r0 in lower) <= 1e-12
 
     @pytest.mark.parametrize("c", [0.3, 0.5, 0.6])
     def test_roots_contract(self, c):
@@ -587,6 +730,21 @@ class TestCritiqueReport:
         for root in rep.roots:
             assert root.p_a == pytest.approx(math.cos(root.alpha) ** 2, abs=1e-14)
             assert root.p_b == pytest.approx(math.cos(rep.theta - root.alpha) ** 2, abs=1e-14)
+
+    def test_refines_through_find_root(self, monkeypatch):
+        """The critique refines its crossings through the module-level
+        solve.find_root; the benchmark's trace divides by the count of those
+        calls."""
+        calls = [0]
+        find_root = solve.find_root
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return find_root(*args, **kwargs)
+
+        monkeypatch.setattr(solve, "find_root", counting)
+        rep = solve.critique_report(0.6)
+        assert calls[0] >= len(rep.roots) >= 1
 
     def test_interval_matches_core(self):
         rep = solve.critique_report(0.5)
