@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError, SingularValueError
 
@@ -279,23 +279,7 @@ def e_function(p_a: float, c: float, m: int = 1) -> float:
     """
     _check_multiplicities(m)
     _require_interior(p_a, c)
-    return _e_kernel(c, m)(p_a)
-
-
-def _e_kernel(c: float, m: int = 1) -> Callable[[float], float]:
-    """E_m(., c) as a function of P_A alone, without e_function's checks.
-
-    Bound once per overlap for the H1 root solve, which evaluates it at many
-    P_A already known to lie strictly inside the admissible interval.  It
-    computes E_m and its terms, never N or K."""
-    # a float m gives the same products as an integral m (Python converts it
-    # to float to multiply), and float products take the interpreter's fast path
-    mf = float(m)
-
-    def e(p_a: float) -> float:
-        return _e_terms(p_a, c, mf)[0]
-
-    return e
+    return _e_terms(p_a, c, m)[0]
 
 
 def _e_terms(
@@ -307,10 +291,10 @@ def _e_terms(
         (E_m, P_B, sqrt(P_B(1-P_B)), ln(P_B/(1 - m P_B)),
          sqrt(P_A(1-P_A)), ln(P_A/(1-P_A))).
 
-    m is a positive integer, passed as a float.  At m = 1 these are also the
-    terms of N and K - 4, so _curves builds all three from one call per
-    sample.  A nonpositive log argument raises SingularValueError, the B
-    side's first.
+    m is a positive integer; the default 1.0 gives the same products as 1.
+    At m = 1 these are also the terms of N and K - 4, so _curves builds all
+    three from one call per sample.  A nonpositive log argument raises
+    SingularValueError, the B side's first.
     """
     p_b = _p_b(p_a, c)
     den_b = 1.0 - m * p_b

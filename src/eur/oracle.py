@@ -26,8 +26,9 @@ Five checks, each attacking the closed-form results from a different side:
                          reciprocal lattice pairs), with the signed gap of
                          the better one over the piecewise bound.
 
-grid_min and qubit_min share one 1-D minimizer, a scan refined by golden
-section (_scan_golden).  Only random_state_check uses numpy, which it
+grid_min and qubit_min share one saturated-line minimizer (_line_min), a
+scan refined by golden section (_scan_golden); they differ only in h,
+range, points and tolerance.  Only random_state_check uses numpy, which it
 imports when called, and chunks its work; its result does not depend on the
 chunk size.  The other oracles are plain Python over floats, so importing
 this module or running them does not load numpy.
@@ -160,16 +161,40 @@ def _scan_golden(
     return x, val
 
 
+def _line_min(
+    c: float, ref: float, h: Callable[[float], float], step: float, n: int, tol: float, scan: str
+) -> OracleReport:
+    """Least value of h(cos^2 x) + h(cos^2(theta - x)), theta = arccos(c), on
+    the saturated line alpha_A + alpha_B = theta: scanned at x = k step,
+    k in range(n), and refined by golden section to width tol (_scan_golden).
+    Reported against ref, with argmin (cos^2 x, cos^2(theta - x)) at the
+    minimum and the scanned range, scan, in its resolution."""
+    theta = math.acos(c)
+
+    def f(x: float) -> float:
+        return h(math.cos(x) ** 2) + h(math.cos(theta - x) ** 2)
+
+    x, val = _scan_golden(f, step, n, tol)
+    return OracleReport(
+        c=c,
+        oracle_min=val,
+        analytic_ref=ref,
+        gap=val - ref,
+        argmin=(math.cos(x) ** 2, math.cos(theta - x) ** 2),
+        resolution=f"{n}-point scan of {scan} + golden section to {tol:g}",
+    )
+
+
 def grid_min(c: float, points_per_axis: int = 2001) -> OracleReport:
     """Minimum of h_min(P_A) + h_min(P_B) subject to the raw Landau-Pollak
     constraint alpha_A + alpha_B >= theta = arccos(c), where P = cos^2(alpha).
 
     h_min(p) decreases in p and cos^2 decreases on [0, pi/2], so the
     objective increases in each angle and its minimum lies on the saturated
-    line alpha_A + alpha_B = theta.  There it is the 1-D function
-    f(alpha) = h_min(cos^2 alpha) + h_min(cos^2(theta - alpha)), scanned at
-    points_per_axis points of [0, theta] and refined by golden section to
-    1e-12 in alpha around the best point (_scan_golden).
+    line alpha_A + alpha_B = theta.  _line_min scans it at points_per_axis
+    points of alpha in [0, theta] and refines the best by golden section to
+    1e-12 in alpha.  qubit_min shares that minimizer and differs only in h,
+    range, points and tolerance.
 
     The refinement may step up to one scan step outside [0, theta]; it needs
     no clipping, because every real alpha gives a feasible pair.  cos^2 is
@@ -190,22 +215,9 @@ def grid_min(c: float, points_per_axis: int = 2001) -> OracleReport:
             f"points_per_axis must be an integer of at least 100, got {points_per_axis!r}"
         )
     n = points_per_axis
-    theta = math.acos(c)
-
-    def f(alpha: float) -> float:
-        return _h_min(math.cos(alpha) ** 2) + _h_min(math.cos(theta - alpha) ** 2)
-
-    alpha, val = _scan_golden(f, theta / (n - 1), n, 1e-12)
     bound = b_vs(c)
     ref = m_inf(c) if bound.region.tag is RegionTag.MU else bound.nats
-    return OracleReport(
-        c=c,
-        oracle_min=val,
-        analytic_ref=ref,
-        gap=val - ref,
-        argmin=(math.cos(alpha) ** 2, math.cos(theta - alpha) ** 2),
-        resolution=f"{n}-point scan of alpha_A + alpha_B = theta + golden section to 1e-12",
-    )
+    return _line_min(c, ref, _h_min, math.acos(c) / (n - 1), n, 1e-12, "alpha_A + alpha_B = theta")
 
 
 def qubit_min(c: float) -> OracleReport:
@@ -214,29 +226,16 @@ def qubit_min(c: float) -> OracleReport:
     The state (cos phi, sin phi) in the first eigenbasis yields outcome
     probabilities cos^2(phi) and cos^2(theta - phi).  Turning the state by
     pi/2 swaps cos and sin, which leaves both binary entropies unchanged, so
-    a 500-point scan of phi over [0, pi/2) sees every state; its best point
-    is refined by golden-section search to 1e-10 in phi, within one scan
-    step either side (_scan_golden).  Dimension two forces c >= 1/sqrt(2).
-    argmin is the outcome pair (P_A, P_B) = (cos^2 phi, cos^2(theta - phi))
-    at the minimum.
+    a 500-point scan of phi over [0, pi/2) sees every state; _line_min
+    refines its best point by golden section to 1e-10 in phi.  That is
+    grid_min's minimizer, with the binary entropy for h_min, a wider range,
+    fewer points and a looser tolerance.  Dimension two forces
+    c >= 1/sqrt(2).  argmin is the outcome pair (P_A, P_B) =
+    (cos^2 phi, cos^2(theta - phi)) at the minimum.
     """
     if not (INV_SQRT2 - 1e-12 <= c <= 1.0):
         raise DomainError(f"qubit_min requires 1/sqrt(2) <= c <= 1, got {c!r}")
-    theta = math.acos(c)
-
-    def f(phi: float) -> float:
-        return binary_entropy(math.cos(phi) ** 2) + binary_entropy(math.cos(theta - phi) ** 2)
-
-    phi_min, val = _scan_golden(f, 0.5 * math.pi / 500, 500, 1e-10)
-    ref = b_vs(c).nats
-    return OracleReport(
-        c=c,
-        oracle_min=val,
-        analytic_ref=ref,
-        gap=val - ref,
-        argmin=(math.cos(phi_min) ** 2, math.cos(theta - phi_min) ** 2),
-        resolution="500-point scan of [0, pi/2) + golden section to 1e-10",
-    )
+    return _line_min(c, b_vs(c).nats, binary_entropy, 0.5 * math.pi / 500, 500, 1e-10, "[0, pi/2)")
 
 
 # random_state_check works on chunks of samples: past about 128 a larger chunk

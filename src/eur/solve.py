@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 from .core import (
     INV_SQRT2,
     _check_unit,
-    _e_kernel,
+    _e_terms,
     _p_b,
     admissible_interval,
     b_mu,
@@ -235,15 +235,14 @@ def _h1_solution(c: float) -> tuple[float, tuple[float, float]]:
     half-width inside the interval, at least 700 times the ENDPOINT_GUARD
     inset, and Brent iterates stay inside [a, b]; the root r and its mirror
     P_B(r) lie in the interval too.  So every evaluation runs on the
-    unchecked kernels: E_1 bound once to c by _e_kernel, and _p_b.
+    unchecked kernels: E_1 of _e_terms at this c, and _p_b.
     """
     iv = admissible_interval(c)
     mid = 0.5 * (1.0 + c)
     delta = BRACKET_INSET * (mid - iv.lo)
     a, b = iv.lo + delta, mid - delta
-    e = _e_kernel(c)
-    ea = e(a)
-    eb = e(b)
+    ea = _e_terms(a, c)[0]
+    eb = _e_terms(b, c)[0]
     if ea >= 0.0:
         # zero merged with the lower endpoint (c at or within noise of 1/sqrt(2)):
         # P_B -> 1 contributes nothing
@@ -251,7 +250,7 @@ def _h1_solution(c: float) -> tuple[float, tuple[float, float]]:
     if eb <= 0.0:
         # zero merged with the symmetric point (c at or beyond c_star)
         return f_bound(c), (mid, mid)
-    r = _brent(e, a, b, ea, eb).root
+    r = _brent(lambda p_a: _e_terms(p_a, c)[0], a, b, ea, eb).root
     pb = _p_b(r, c)
     h_pb = binary_entropy(pb)
     value = binary_entropy(r) + h_pb
@@ -267,19 +266,19 @@ def h1_bound(c: float) -> float:
     """Entropy-sum minimum over the asymmetric stationary pair, defined for
     1/sqrt(2) <= c <= c_star.  Equals ln 2 at the left edge and f_bound(c_star)
     at the right edge."""
-    return _h1_solution(_check_h1_domain(c))[0]
+    return _h1_solution(_check_h1_domain(c, "h1_bound"))[0]
 
 
 def h1_witness(c: float) -> tuple[float, float]:
     """Extremizing (P_A, P_B) behind h1_bound; the swapped pair attains the
     same value."""
-    return _h1_solution(_check_h1_domain(c))[1]
+    return _h1_solution(_check_h1_domain(c, "h1_witness"))[1]
 
 
-def _check_h1_domain(c: float) -> float:
+def _check_h1_domain(c: float, name: str) -> float:
     cs = c_star().root
     if not (INV_SQRT2 - 1e-12 <= c <= cs + 1e-12):
-        raise DomainError(f"h1_bound requires 1/sqrt(2) <= c <= c_star ({cs:.6f}), got {c!r}")
+        raise DomainError(f"{name} requires 1/sqrt(2) <= c <= c_star ({cs:.6f}), got {c!r}")
     return min(max(c, INV_SQRT2), cs)
 
 

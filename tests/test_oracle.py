@@ -290,6 +290,19 @@ class TestQubitMin:
         for c in overlaps:
             assert abs(oracle.qubit_min(c).gap) <= 1e-14, c
 
+    def test_agrees_with_the_grid_oracle(self):
+        """Above 1/sqrt(2), cos^2 >= 1/2 on grid_min's range, where h_min is
+        the binary entropy, so both oracles minimize one line function and
+        their minima agree to rounding.  The argmins are not compared: near
+        c_star the minimum is quartic-flat and they differ by up to 5e-5."""
+        rng = random.Random(13)
+        lo = core.INV_SQRT2
+        overlaps = [lo, math.nextafter(lo, 1.0), 1.0, _C_STAR - 1e-6, _C_STAR + 1e-6]
+        overlaps += [math.nextafter(_C_STAR, 0.0), _C_STAR, math.nextafter(_C_STAR, 1.0)]
+        overlaps += [lo + (1.0 - lo) * rng.random() for _ in range(85)]
+        for c in overlaps:
+            assert abs(oracle.qubit_min(c).oracle_min - oracle.grid_min(c).oracle_min) <= 1e-13, c
+
     def test_states_satisfy_constraint(self):
         # the probability pair of any pure state respects the angle inequality
         for c in (0.75, 0.9):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eur
-from eur import cli, oracle
+from eur import cli, core, oracle, solve
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -210,6 +210,42 @@ for argv in (["eval", "--c", "0.8"], ["constants"], ["critique", "--c", "0.6"]):
 assert added(lambda: run("eval", "--c", "0.8", "--json")) == {"json"}
 """
     _fresh_python(code, tmp_path, "-S")
+
+
+# the name tuples of perfbench/trace_run.py, and the eur module each names
+_TRACED_GROUPS = {
+    "SOLVE_SPANS": "solve",
+    "ORACLE_SPANS": "oracle",
+    "CLI_CORE_SPANS": "core",
+    "CORE_NS": "core",
+    "SOLVE_OWN_COUNTERS": "solve",
+}
+
+
+def test_traced_names_exist():
+    """perfbench/trace_run.py's traced() skips any name a module no longer
+    has, so a rename would drop a per-layer metric and fail nothing.  The
+    file is read with ast, never imported."""
+    tree = ast.parse((ROOT / "perfbench" / "trace_run.py").read_text())
+    groups = {
+        target.id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in _TRACED_GROUPS
+    }
+    assert set(groups) == set(_TRACED_GROUPS)
+    modules = {"core": core, "oracle": oracle, "solve": solve}
+    missing = [
+        f"{group}: {_TRACED_GROUPS[group]}.{name}"
+        for group, names in groups.items()
+        for name in names
+        if not hasattr(modules[_TRACED_GROUPS[group]], name)
+    ]
+    assert missing == []
+    # the H1 time of the trace reads the region tag of each traced b_vs report
+    assert hasattr(solve, "b_vs") and hasattr(oracle, "b_vs")
+    assert solve.b_vs(0.8).region.tag is solve.RegionTag.H1
 
 
 # each record's fields, in the order that positional construction and unpacking rely on

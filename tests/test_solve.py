@@ -185,6 +185,13 @@ class TestH1Bound:
         with pytest.raises(DomainError):
             solve.h1_bound(c)
 
+    @pytest.mark.parametrize("c", [0.5, 0.84])
+    @pytest.mark.parametrize("name", ["h1_bound", "h1_witness"])
+    def test_domain_error_names_its_function(self, name, c):
+        message = rf"^{name} requires 1/sqrt\(2\) <= c <= c_star \(0\.833557\), got {c!r}$"
+        with pytest.raises(DomainError, match=message):
+            getattr(solve, name)(c)
+
 
 def reference_find_root(f, lo, hi, abs_tol=1e-13, max_iter=200):
     """solve.find_root as it was before its checks and its Brent loop were
@@ -286,9 +293,9 @@ def separate_curves(p_a, c):
 
 
 class TestUncheckedKernel:
-    """The H1 root solve evaluates only the unchecked kernels: E_1 bound to c
-    by core._e_kernel (bracket ends and iterates) and core._p_b (the witness
-    and its mirror).  It hands the bracket end values to solve._brent, so
+    """The H1 root solve evaluates only the unchecked kernels: E_1 from
+    core._e_terms at its overlap (bracket ends and iterates) and core._p_b
+    (the witness and its mirror).  It hands the bracket end values to solve._brent, so
     each end is evaluated once.  Results must be bit-identical to checking
     every evaluation and evaluating both ends again."""
 
@@ -303,16 +310,11 @@ class TestUncheckedKernel:
         and E_1 runs once per bracket end and once per Brent iterate."""
         runs = []  # (iterations, E_1 evaluations) of each Brent solve
         evals = [0]
-        kernel, brent = core._e_kernel, solve._brent
+        terms, brent = core._e_terms, solve._brent
 
-        def counting_kernel(c, m=1):
-            e = kernel(c, m)
-
-            def counted(p_a):
-                evals[0] += 1
-                return e(p_a)
-
-            return counted
+        def counting_terms(*args):
+            evals[0] += 1
+            return terms(*args)
 
         def recording_brent(*args):
             rr = brent(*args)
@@ -321,7 +323,7 @@ class TestUncheckedKernel:
 
         cs = self.overlaps()  # solves c_star before the Brent kernel is recorded
         assert len(cs) >= 2006
-        monkeypatch.setattr(solve, "_e_kernel", counting_kernel)
+        monkeypatch.setattr(solve, "_e_terms", counting_terms)
         monkeypatch.setattr(solve, "_brent", recording_brent)
         got, e_counts = [], []
         for c in cs:
@@ -335,26 +337,27 @@ class TestUncheckedKernel:
         assert sum(it is not None for _, _, it in got) >= 1999  # all but the degenerate ends
         assert all(n == expected for n, expected in e_counts)
 
-    def test_e_kernel_matches_e_function(self):
-        """The per-overlap kernel returns what e_function returns, or raises
-        the same error, for m = 1, 2, 3."""
+    def test_e_terms_matches_e_function(self):
+        """The unchecked E_m of core._e_terms, with m an integer or the equal
+        float, is what e_function returns, or raises the same error, for
+        m = 1, 2, 3."""
         for c in self.overlaps():
             iv = core.admissible_interval(c)
             points = [iv.lo + t * iv.width for t in (1e-6, 0.01, 0.2, 0.5, 0.8, 0.99, 1.0 - 1e-6)]
             for m in (1, 2, 3):
-                e = core._e_kernel(c, m)
                 for p in points:
-                    assert _outcome(e, p) == _outcome(core.e_function, p, c, m)
+                    expected = _outcome(core.e_function, p, c, m)
+                    for e_m in (m, float(m)):
+                        assert _outcome(lambda: core._e_terms(p, c, e_m)[0]) == expected
 
     @pytest.mark.parametrize("c", [0.3, 0.6, core.INV_SQRT2, 0.75, 0.8, 0.9, 0.99])
     def test_helpers_match_public_functions(self, c):
         iv = core.admissible_interval(c)
-        e = core._e_kernel(c)
         for t in (1e-6, 0.01, 0.2, 0.5, 0.8, 0.99, 1.0 - 1e-6):
             p = iv.lo + t * iv.width
             n, k, e1 = separate_curves(p, c)
             assert core._p_b(p, c) == core.p_b_of_p_a(p, c)
-            assert e(p) == core.e_function(p, c) == e1
+            assert core._e_terms(p, c)[0] == core.e_function(p, c) == e1
             assert core.n_function(p, c) == n
             assert core.k_function(p, c) == k + 4.0
 
@@ -755,3 +758,78 @@ class TestCritiqueReport:
     def test_domain(self, c):
         with pytest.raises(DomainError):
             solve.critique_report(c)
+
+
+def _dual_overlap(c):
+    """sqrt(1 - c^2), the overlap of the dual angle pi/2 - arccos(c)."""
+    return math.sqrt((1.0 - c) * (1.0 + c))
+
+
+class TestAngleEquationDuality:
+    """alpha -> -alpha, theta -> pi/2 - theta turns the residual R of the angle
+    equation into -R: both log ratios are ln cot^2, and the map sends
+    d = alpha - theta to -d - pi/2, which keeps sin 2d and turns cot^2 d into
+    tan^2 d.  It keeps P_A = cos^2 alpha and sends P_B to 1 - P_B, so below
+    1/sqrt(2) every root at c is a stationary pair of the problem at the
+    dual overlap sqrt(1 - c^2), up to P -> 1 - P on either side."""
+
+    def test_residual_is_odd_under_the_dual_map(self):
+        rng = random.Random(15)
+        checked = 0
+        for _ in range(12_000):
+            alpha = rng.uniform(-0.25 * math.pi, 0.5 * math.pi)
+            theta = rng.uniform(1e-3, 0.5 * math.pi - 1e-3)
+            try:
+                r = solve._eqsin_value(alpha, theta)
+                r_dual = solve._eqsin_value(-alpha, 0.5 * math.pi - theta)
+            except SingularValueError:
+                continue
+            scale = abs(solve._eqsin_alpha_term(alpha)) + abs(solve._eqsin_theta_term(alpha, theta))
+            assert abs(r + r_dual) <= 1e-11 * scale, (alpha, theta)
+            checked += 1
+        assert checked >= 10_000
+
+    @staticmethod
+    def overlaps():
+        rng = random.Random(26)
+        c_b = _dual_overlap(CSTAR)
+        edges = [c_b * (1.0 + d) for d in (-1e-3, -1e-5, 1e-5, 1e-3)]
+        tiny = [1e-7, 1e-6, 1e-5, 1e-4, 1e-3]
+        # within about 1e-6 below 1/sqrt(2) the dual H1 zero lies closer to its
+        # interval's end than the H1 solve's bracket inset, and b_vs answers
+        # with the end pair (c'^2, 1), 1e-7 away from the root's pair
+        near_top = [core.INV_SQRT2 - d for d in (1e-3, 7e-4, 5e-4, 1e-4, 1e-5)] + [0.707]
+        grid = [0.01 + 0.69 * k / 59 for k in range(60)]
+        return tiny + grid + edges + near_top + [rng.uniform(0.01, 0.7) for _ in range(25)]
+
+    def test_roots_are_reflected_dual_stationary_pairs(self):
+        """Each root, with P -> max(P, 1 - P) on both sides, is the dual
+        symmetric point or, in the dual H1 region, the dual H1 witness up to
+        swap; its entropy sum is that pair's value; no root is admissible.
+        There is 1 root below the birth overlap sqrt(1 - c_star^2) and 5
+        above it, away from it and from 1/sqrt(2)."""
+        c_b = _dual_overlap(CSTAR)
+        overlaps = self.overlaps()
+        assert len(overlaps) >= 100
+        counted = 0
+        for c in overlaps:
+            dual = _dual_overlap(c)
+            mid = 0.5 * (1.0 + dual)
+            candidates = [((mid, mid), core.f_bound(dual))]
+            bound = solve.b_vs(dual)
+            if bound.region.tag is solve.RegionTag.H1:
+                candidates.append((tuple(sorted(bound.witness)), bound.nats))
+            roots = solve.critique_report(c).roots
+            for root in roots:
+                assert not root.admissible, (c, root)
+                pair = sorted(max(p, 1.0 - p) for p in (root.p_a, root.p_b))
+                value = core.binary_entropy(root.p_a) + core.binary_entropy(root.p_b)
+                assert any(
+                    max(abs(pair[0] - w[0]), abs(pair[1] - w[1])) <= 1e-10
+                    and abs(value - v) <= 1e-12
+                    for w, v in candidates
+                ), (c, root)
+            if abs(c - c_b) > 1e-6 and c <= core.INV_SQRT2 - 1e-3:
+                assert len(roots) == (1 if c < c_b else 5), c
+                counted += 1
+        assert counted >= 90
