@@ -295,9 +295,10 @@ def separate_curves(p_a, c):
 class TestUncheckedKernel:
     """The H1 root solve evaluates only the unchecked kernels: E_1 from
     core._e_terms at its overlap (bracket ends and iterates) and core._p_b
-    (the witness and its mirror).  It hands the bracket end values to solve._brent, so
-    each end is evaluated once.  Results must be bit-identical to checking
-    every evaluation and evaluating both ends again."""
+    (the witness and its mirror).  It hands the bracket end values to
+    solve._brent, so each end is evaluated once.  Results must be
+    bit-identical to checking every evaluation and evaluating both ends
+    again."""
 
     @staticmethod
     def overlaps():
