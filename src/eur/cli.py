@@ -69,34 +69,51 @@ def _setting(flag, name: str, kind: type, noun: str, default):
 # digits, and + 0.0 turns negative zero into 0.0, so that it prints as 0.
 _CELL = "%.12g"
 
-
-def _line_template(values: Sequence[Optional[float]], region: str) -> str:
-    """The %-template of a `sweep` line whose cells hold `values`: _CELL for
-    a value, an empty field for None, then the region label."""
-    return ",".join(["" if x is None else _CELL for x in values] + [region]) + "\n"
+# The _COLUMNS that each region leaves blank: m_inf outside the MU region, h1
+# outside the H1 region.
+_BLANKS = {_MU: ("h1",), _H1: ("m_inf",), _F: ("m_inf", "h1")}
 
 
-def _row(c: float, bits: bool) -> tuple[list, solve.RegionTag, Optional[tuple[float, float]]]:
-    """The _COLUMNS values at overlap c (entropies in nats, or in bits), the
-    region tag and the extremizing (P_A, P_B) of b_vs.  m_inf is blank
-    outside the MU region and h1 outside the H1 region.  Each value is
-    computed once: b_vs is b_mu(c) in the MU region and f_bound(c) in the F
-    region, so those columns take its value."""
-    report = solve.b_vs(c)  # validates c
-    tag = report.region.tag
-    nats = report.nats
-    entropies = [
-        nats if tag is _MU else core.b_mu(c),
-        nats if tag is _F else core.f_bound(c),
-        core.g_bound(c),
-        core.lattice_bound(c),
-        core.m_inf(c) if tag is _MU else None,
-        nats if tag is _H1 else None,
-        nats,
-    ]
+def _line_template(tag: solve.RegionTag) -> str:
+    """The %-template of a `sweep` line in region `tag`: _CELL for each of the
+    _COLUMNS that the region fills, an empty field for each of _BLANKS[tag],
+    then the region label."""
+    blanks = _BLANKS[tag]
+    return ",".join(["" if col in blanks else _CELL for col in _COLUMNS] + [str(tag)]) + "\n"
+
+
+def _cells(c: float, tag: solve.RegionTag, nats: float, bits: bool) -> tuple[float, ...]:
+    """The values of the _COLUMNS that region `tag` fills, at overlap c, whose
+    b_vs value is `nats`; entropies in nats, or in bits.  Each closed form
+    runs once, as its core kernel, without its checks: b_vs is b_mu in the MU
+    region and f_bound in the F region, and g and lattice share 1/c^2.  So c
+    must lie in `tag`, and in [c0, 1] for an overlap c0 that passed _row's
+    checks."""
+    c2 = c * c
+    inv_c2 = 1.0 / c2
+    theta, g, lattice = math.acos(c), core._h_min(c2, inv_c2), core._lattice_bound(inv_c2)
+    if tag is _MU:
+        cells = (c, theta, nats, core._f_bound(c), g, lattice, core._m_inf(c), nats)
+    elif tag is _H1:
+        cells = (c, theta, core._b_mu(c), core._f_bound(c), g, lattice, nats, nats)
+    else:
+        cells = (c, theta, core._b_mu(c), nats, g, lattice, nats)
     if bits:
-        entropies = [None if v is None else core.nats_to_bits(v) for v in entropies]
-    return [c, math.acos(c), *entropies], tag, report.witness
+        return (c, theta, *map(core._nats_to_bits, cells[2:]))
+    return cells
+
+
+def _row(
+    c: float, bits: bool
+) -> tuple[tuple[float, ...], solve.RegionTag, Optional[tuple[float, float]]]:
+    """_cells at overlap c, with its region tag and the extremizing (P_A, P_B)
+    of b_vs, after the checks that the public functions of those values make:
+    b_vs checks c, and g and lattice need a finite 1/c^2.  Nothing can fail in
+    the conversion to bits then: every entropy is finite, below 710 nats."""
+    report = solve.b_vs(c)  # validates c
+    core._inverse_square(c)  # g_bound's and lattice_bound's error if c^2 is too small
+    tag = report.region.tag
+    return _cells(c, tag, report.nats, bits), tag, report.witness
 
 
 def _print_json(obj) -> None:
@@ -107,8 +124,9 @@ def _print_json(obj) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    values, tag, witness = _row(args.c, args.bits)
-    rec = dict(zip(_COLUMNS, values))
+    cells, tag, witness = _row(args.c, args.bits)
+    values, blanks = iter(cells), _BLANKS[tag]
+    rec = {col: None if col in blanks else next(values) for col in _COLUMNS}
     rec["region"] = str(tag)
     rec["witness_p_a"] = witness[0] if witness else None
     rec["witness_p_b"] = witness[1] if witness else None
@@ -150,9 +168,8 @@ def cmd_constants(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Write the _COLUMNS of every overlap from --from to --to in steps of
     --step, and the region label, as CSV to --out.  Each row is one %
-    operation on its region's line template, which _line_template builds
-    from the region's first row, with _CELL applied to each value + 0.0: the
-    same text as an `eval` cell."""
+    operation on its region's line template with the row's _cells, which
+    prints each value as an `eval` cell does."""
     lo, hi, step = args.from_, args.to, args.step
     if not (0.0 < lo < hi <= 1.0 and step > 0.0):
         raise DomainError(f"need 0 < from < to <= 1 and step > 0, got {lo}, {hi}, {step}")
@@ -163,9 +180,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise DomainError(f"step {step} is too small to advance from {lo} to {hi}")
     count = int(math.floor(span + 1e-9)) + 1
     # c only grows from `from`, so the first row is the only one that a domain
-    # error (c^2 too small) can reach: it is computed before --out is created
-    row = _row(lo, args.bits)
-    templates: dict[solve.RegionTag, str] = {}  # line template by region, from its first row
+    # error (c^2 too small) can reach: it runs every check, before --out is created
+    cells, tag, _ = _row(lo, args.bits)
+    mu_end, h1_end = solve._region_edges()
+    line = _line_template(tag)
+    mu_line, h1_line, f_line = map(_line_template, (_MU, _H1, _F))
     try:
         with open(args.out, "w", newline="") as out:
             out.write(",".join([*_COLUMNS, "region"]) + "\n")
@@ -176,12 +195,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         c = hi  # snap the final sample; k*step can overshoot by ulps
                     elif c > hi:
                         break
-                    row = _row(c, args.bits)
-                values, tag, _ = row
-                template = templates.get(tag)
-                if template is None:
-                    template = templates[tag] = _line_template(values, str(tag))
-                out.write(template % tuple([x + 0.0 for x in values if x is not None]))
+                    # from <= c <= to, so the first row's checks hold here too:
+                    # the row runs kernels only, but for the H1 solve, which
+                    # keeps its mirrored-value check behind b_vs
+                    if c < mu_end:
+                        tag, nats, line = _MU, core._b_mu(c), mu_line
+                    elif c < h1_end:
+                        tag, nats, line = _H1, solve.b_vs(c).nats, h1_line
+                    else:
+                        tag, nats, line = _F, core._f_bound(c), f_line
+                    cells = _cells(c, tag, nats, args.bits)
+                if 0.0 in cells:  # a zero cell may be -0.0, which _CELL prints as -0
+                    cells = tuple([x + 0.0 for x in cells])
+                out.write(line % cells)
     except OSError as exc:
         return _cannot_write(args.out, exc)
     return EXIT_OK

@@ -133,7 +133,12 @@ def multiplicity_of(p: float) -> int:
     the boundary.
     """
     _check_unit(p, "p")
-    m = max(1, int(math.floor(_reciprocal(p, "p"))))
+    return _multiplicity(p, _reciprocal(p, "p"))
+
+
+def _multiplicity(p: float, inv: float) -> int:
+    # multiplicity_of without its checks, from inv = 1/p
+    m = max(1, int(math.floor(inv)))
     # floor(1/p) can undershoot by one when 1/p rounds down across an integer
     if p * (m + 1) <= 1.0:
         m += 1
@@ -146,7 +151,14 @@ def h_min(p: float) -> float:
     Attained by m copies of p plus one remainder 1 - m*p, m = multiplicity_of(p).
     Equals binary_entropy(p) for p >= 1/2 and ln m at exact reciprocals.
     """
-    m = multiplicity_of(p)  # validates p
+    _check_unit(p, "p")
+    return _h_min(p, _reciprocal(p, "p"))
+
+
+def _h_min(p: float, inv: float) -> float:
+    """h_min without its checks, from p in (0, 1] and inv = 1/p, finite; the
+    kernel of h_min and g_bound."""
+    m = _multiplicity(p, inv)
     rem = 1.0 - m * p
     if rem < 0.0:  # ulp-level overshoot at reciprocal boundaries
         rem = 0.0
@@ -156,6 +168,11 @@ def h_min(p: float) -> float:
 def b_mu(c: float) -> float:
     """Universal entropy-sum lower bound -2 ln c (Maassen-Uffink)."""
     _check_unit(c, "overlap")
+    return _b_mu(c)
+
+
+def _b_mu(c: float) -> float:
+    # b_mu without its checks
     return -2.0 * math.log(c)
 
 
@@ -169,6 +186,11 @@ def f_bound(c: float) -> float:
     inputs within 1e-12 of 1 simply lose resolution in c itself.
     """
     _check_unit(c, "overlap")
+    return _f_bound(c)
+
+
+def _f_bound(c: float) -> float:
+    # f_bound without its checks
     return -_xlnx_half(1.0 + c) - _xlnx_half(1.0 - c)
 
 
@@ -186,8 +208,8 @@ def g_bound(c: float) -> float:
     for c > 1/sqrt(2), k = 1 and the value is the binary entropy of c^2.
     Identical to h_min(c^2).
     """
-    _inverse_square(c)  # validates c, and names c^2 (not h_min's p) if it is too small
-    return h_min(c * c)
+    # _inverse_square validates c, and names c^2 (not h_min's p) if it is too small
+    return _h_min(c * c, _inverse_square(c))
 
 
 def lattice_bound(c: float) -> float:
@@ -196,7 +218,13 @@ def lattice_bound(c: float) -> float:
     Returns 0 at c = 1, else ln M for the unique integer M >= 2 with
     1/sqrt(M) <= c < 1/sqrt(M-1).
     """
-    return math.log(_lattice_multiplicity(c))
+    return _lattice_bound(_inverse_square(c))
+
+
+def _lattice_bound(inv_c2: float) -> float:
+    # lattice_bound without its checks, from inv_c2 = 1/c^2, finite: ln M with
+    # M = ceil(1/c^2), as in _lattice_multiplicity
+    return math.log(math.ceil(inv_c2))
 
 
 def _lattice_multiplicity(c: float) -> int:
@@ -455,6 +483,11 @@ def m_inf(c: float) -> float:
     """
     if not (0.0 < c <= INV_SQRT2):
         raise DomainError(f"m_inf requires 0 < c <= 1/sqrt(2), got {c!r}")
+    return _m_inf(c)
+
+
+def _m_inf(c: float) -> float:
+    # m_inf without its checks
     s = min(2.0 * c * math.sqrt(1.0 - c * c), 1.0)
     # ((1+-s)/2) ln((1+-s)/4) = x ln(x/2) with x = (1+-s)/2
     return -_xlnx_half(0.5 * (1.0 + s)) - _xlnx_half(0.5 * (1.0 - s))
@@ -512,7 +545,12 @@ def nats_to_bits(x: float) -> float:
     """Display-time conversion of an entropy value from nats to bits."""
     if not math.isfinite(x):
         raise DomainError(f"entropy must be finite, got {x!r}")
-    bits = x * _BITS_PER_NAT
+    bits = _nats_to_bits(x)
     if not math.isfinite(bits):
         raise DomainError(f"entropy {x!r} nats is too large: its value in bits overflows")
     return bits
+
+
+def _nats_to_bits(x: float) -> float:
+    # nats_to_bits without its checks
+    return x * _BITS_PER_NAT

@@ -153,14 +153,15 @@ def _brent(
     c_, fc = a, fa
     d = e = b - a
     eps = math.ulp(1.0)
+    copysign, half_tol = math.copysign, 0.5 * abs_tol  # looked up and computed once
     for it in range(1, _MAX_ITER + 1):
-        if math.copysign(1.0, fb) == math.copysign(1.0, fc):
+        if copysign(1.0, fb) == copysign(1.0, fc):
             c_, fc = a, fa
             d = e = b - a
         if abs(fc) < abs(fb):
             a, b, c_ = b, c_, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * eps * abs(b) + 0.5 * abs_tol
+        tol = 2.0 * eps * abs(b) + half_tol
         m = 0.5 * (c_ - b)
         if abs(m) <= tol or fb == 0.0:
             return RootResult(b, (lo, hi), abs(fb), it)
@@ -185,7 +186,7 @@ def _brent(
             else:
                 d = e = m
         a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
+        b += d if abs(d) > tol else copysign(tol, m)
         fb = f(b)
     raise ConvergenceError(f"no convergence within {_MAX_ITER} iterations on [{lo}, {hi}]")
 
@@ -208,6 +209,13 @@ def c_dagger() -> RootResult:
     """Overlap where the symmetric stationary value f_bound crosses the
     -2 ln c bound inside (0, 1/sqrt(2)); approximately 0.611."""
     return find_root(lambda c: f_bound(c) - b_mu(c), 0.1, INV_SQRT2, abs_tol=1e-15)
+
+
+def _region_edges() -> tuple[float, float]:
+    """The two overlaps that classify_region compares c with, 1/sqrt(2) and
+    c_star: c below the first is in the MU region, below the second in the H1
+    region, and from the second on in the F region."""
+    return INV_SQRT2, c_star().root
 
 
 def classify_region(c: float) -> Region:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -311,6 +312,97 @@ class TestSweepWriter:
         rows = self.sweep(capsys, tmp_path, math.nextafter(e, 0.0), math.nextafter(e, 1.0), math.ulp(e), *flags)
         assert [row[9] for row in rows[1:]] == regions
 
+    @pytest.mark.parametrize("flags", [(), ("--bits",)], ids=["nats", "bits"])
+    @pytest.mark.parametrize("shape", ["benchmark", "inv_sqrt2", "c_star", "smallest_overlaps", "to_one"])
+    def test_where_the_writer_branches(self, capsys, tmp_path, shape, flags):
+        """25 001 rows at step 2e-5 from a seeded --from in [0.40, 0.50], as
+        the benchmark sweeps; steps of 1e-16, below one ulp, across 1/sqrt(2)
+        and c_star, where c repeats and a region's run ends; the smallest
+        overlaps whose 1/c^2 is finite; and overlaps up to 1, whose cells
+        hold -0.0."""
+        if shape == "benchmark":
+            lo = round(0.40 + 0.10 * random.Random("sweep-writer").random(), 5)
+            rows = self.sweep(capsys, tmp_path, lo, round(lo + 2e-5 * 25_000, 5), 2e-5, *flags)
+            assert len(rows) == 1 + 25_001
+            assert {row[9] for row in rows[1:]} == {"MuRegion", "H1Region", "FRegion"}
+        elif shape in ("inv_sqrt2", "c_star"):
+            e = core.INV_SQRT2 if shape == "inv_sqrt2" else solve.c_star().root
+            rows = self.sweep(capsys, tmp_path, e - 3e-15, e + 3e-15, 1e-16, *flags)
+            assert len({row[0] for row in rows[1:]}) < len(rows) - 1  # c repeats
+            assert len({row[9] for row in rows[1:]}) == 2
+        elif shape == "smallest_overlaps":
+            assert 1.0 / (1e-154 * 1e-154) < math.inf
+            rows = self.sweep(capsys, tmp_path, 1e-154, 1e-153, 1e-155, *flags)
+            assert len(rows) == 1 + 91
+        else:
+            assert math.copysign(1.0, core.f_bound(1.0)) == -1.0
+            lo = 0.999999999999
+            rows = self.sweep(capsys, tmp_path, lo, 1.0, (1.0 - lo) / 100, *flags)
+            assert rows[-1] == ["1", "0", "0", "0", "0", "0", "", "", "0", "FRegion"]
+
+    @pytest.mark.parametrize("lo,checked_first_row", [(0.72, 0), (0.5, 1)])
+    def test_h1_rows_reach_b_vs(self, capsys, tmp_path, monkeypatch, lo, checked_first_row):
+        """Every H1 row takes its value from solve.b_vs, with the solve's own
+        mirrored-value check; the other rows call it only as the first row,
+        which runs every check through it."""
+        calls, b_vs = [], solve.b_vs
+        monkeypatch.setattr(cli.solve, "b_vs", lambda c: calls.append(c) or b_vs(c))
+        out_path = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--from", repr(lo), "--to", "1", "--step", "0.005", "--out", str(out_path))
+        assert code == 0
+        regions = [row[9] for row in csv.reader(out_path.read_text().splitlines()[1:])]
+        assert {"H1Region", "FRegion"} <= set(regions)
+        assert len(calls) == regions.count("H1Region") + checked_first_row
+
+
+def reference_eval(c, bits, as_json):
+    """What `eval --c c` prints, with --bits and --json as given, built from
+    the public core and solve functions: every column from its own function,
+    converted to bits by core.nats_to_bits."""
+    report = solve.b_vs(c)
+    region = str(report.region.tag)
+    entropies = [
+        core.b_mu(c),
+        core.f_bound(c),
+        core.g_bound(c),
+        core.lattice_bound(c),
+        core.m_inf(c) if region == "MuRegion" else None,
+        report.nats if region == "H1Region" else None,
+        report.nats,
+    ]
+    if bits:
+        entropies = [None if x is None else core.nats_to_bits(x) for x in entropies]
+    witness = report.witness or (None, None)
+    values = [c, math.acos(c), *entropies, region, *witness, "bits" if bits else "nats"]
+    if as_json:
+        return json.dumps(dict(zip(EVAL_KEYS, values))) + "\n"
+    return "".join(
+        f"{key:<11} = {value if isinstance(value, str) else _reference_cell(value)}\n"
+        for key, value in zip(EVAL_KEYS, values)
+    )
+
+
+def test_eval_matches_the_public_functions(capsys):
+    """`eval` text, --json and --bits output is byte-identical to
+    reference_eval at 1, 1e-154, the ulps around 1/sqrt(2) and c_star, and
+    200 seeded overlaps across (0, 1]."""
+    rng = random.Random("eval-identity")
+    overlaps = [1.0, 1e-154]
+    for e in (core.INV_SQRT2, solve.c_star().root):
+        x = e
+        for _ in range(3):
+            x = math.nextafter(x, 0.0)
+        for _ in range(7):
+            overlaps.append(x)
+            x = math.nextafter(x, 1.0)
+    overlaps += [1.0 - rng.random() for _ in range(150)] + [10.0 ** -rng.uniform(0.0, 154.0) for _ in range(50)]
+    assert len(set(overlaps)) >= 200
+    for c in overlaps:
+        for flags in ((), ("--json",), ("--bits",), ("--json", "--bits")):
+            code, out, err = run_cli(capsys, "eval", "--c", repr(c), *flags)
+            assert (code, err) == (0, "")
+            assert out == reference_eval(c, "--bits" in flags, "--json" in flags), (c, flags)
+
 
 # Floats a cell must print as f"{x + 0.0:.12g}": signed zeros, infinities,
 # nan, subnormals, the normal limits, 1 - ulp, and values whose 12-digit
@@ -323,22 +415,53 @@ SPECIAL_CELLS = [
 
 
 class TestCellFormat:
-    """Every float prints as f"{x + 0.0:.12g}", in a sweep cell and in an
-    eval cell, and None as an empty cell."""
+    """Every float that cli._cells gives prints as f"{x + 0.0:.12g}", in a
+    sweep cell and in an eval cell, and a column that its region leaves blank
+    (cli._BLANKS) as an empty cell."""
 
     @staticmethod
-    def sweep_rows(tmp_dir, rows):
-        """The lines cmd_sweep writes when cli._row yields `rows`, a list of
-        six (region, values) pairs, at the overlaps 0.5, 0.6, ..., 1."""
+    def faked_rows(rows, edges, witness=None):
+        """Patches under which cli._cells yields the values of `rows`, a list
+        of (region, values) pairs, one pair per call, without the Nones; each
+        region leaves blank the columns where its rows hold None; and solve
+        puts c below edges[0] in the MU region, below edges[1] in the H1 region
+        and in the F region from there on (b_vs reports that region and
+        `witness`)."""
         pending = iter(rows)
+        mu, h1, f = solve.RegionTag
+        tags = {str(tag): tag for tag in solve.RegionTag}
 
-        def fake_row(c, bits):
+        def region_of(c):
+            return mu if c < edges[0] else h1 if c < edges[1] else f
+
+        def fake_cells(c, tag, nats, bits):
             region, values = next(pending)
-            return list(values), region, None
+            assert tag is tags[region]
+            return tuple(x for x in values if x is not None)
 
+        blanks = {
+            tags[region]: tuple(col for col, x in zip(SWEEP_HEADER, values) if x is None) for region, values in rows
+        }
+        stack = contextlib.ExitStack()
+        stack.enter_context(mock.patch.object(cli, "_cells", fake_cells))
+        stack.enter_context(mock.patch.dict(cli._BLANKS, blanks))
+        stack.enter_context(mock.patch.object(solve, "_region_edges", lambda: edges))
+        stack.enter_context(
+            mock.patch.object(solve, "b_vs", lambda c: solve.BoundReport(c, 0.0, solve.Region(region_of(c)), witness))
+        )
+        return stack, pending
+
+    def sweep_rows(self, tmp_dir, rows):
+        """The lines cmd_sweep writes when cli._cells yields `rows`, a list of
+        six (region, values) pairs in the order in which a sweep meets the
+        regions (MU, H1, F), at the overlaps 0.5, 0.6, ..., 1."""
+        n_mu = sum(region == "MuRegion" for region, _ in rows)
+        n_h1 = sum(region == "H1Region" for region, _ in rows)
+        # the edges fall between the overlaps, so that the rows meet the regions of `rows`
+        stack, pending = self.faked_rows(rows, (0.45 + 0.1 * n_mu, 0.45 + 0.1 * (n_mu + n_h1)))
         out_path = tmp_dir / "cells.csv"
         argv = ["sweep", "--from", "0.5", "--to", "1", "--step", "0.1", "--out", str(out_path)]
-        with mock.patch.object(cli, "_row", fake_row):
+        with stack:
             assert cli.main(argv) == 0
         assert next(pending, None) is None
         return out_path.read_text().splitlines()
@@ -349,23 +472,24 @@ class TestCellFormat:
             ",".join([*map(_reference_cell, values), region]) for region, values in rows
         ]
 
-    @staticmethod
-    def eval_cells(values, witness):
-        """The cells `eval` prints when cli._row yields the nine `values` and
-        the (P_A, P_B) `witness`: every cell but the region and the unit."""
+    def eval_cells(self, values, witness):
+        """The cells `eval` prints when cli._cells yields the nine `values`
+        (None for a blank column) and b_vs the (P_A, P_B) `witness`: every
+        cell but the region and the unit."""
         out = io.StringIO()
-        with mock.patch.object(cli, "_row", lambda c, bits: (list(values), "R", witness)):
-            with contextlib.redirect_stdout(out):
-                assert cli.main(["eval", "--c", "0.5"]) == 0
+        stack, pending = self.faked_rows([("H1Region", values)], (0.0, 1.0), witness)
+        with stack, contextlib.redirect_stdout(out):
+            assert cli.main(["eval", "--c", "0.5"]) == 0
+        assert next(pending, None) is None
         lines = out.getvalue().splitlines()
         assert [line[:14] for line in lines] == [f"{key:<11} = " for key in EVAL_KEYS]
         return [line[14:] for key, line in zip(EVAL_KEYS, lines) if key not in ("region", "unit")]
 
     def test_special_floats(self, tmp_path):
         cells = (SPECIAL_CELLS * 3)[:54]
-        rows = [("R", cells[k : k + 9]) for k in range(0, 27, 9)]
+        rows = [("MuRegion", cells[k : k + 9]) for k in range(0, 27, 9)]
         # a second region, blank in the m_inf and h1 columns, as the F region is
-        rows += [("S", [*cells[k : k + 6], None, None, cells[k + 6]]) for k in range(27, 54, 9)]
+        rows += [("FRegion", [*cells[k : k + 6], None, None, cells[k + 6]]) for k in range(27, 54, 9)]
         assert self.sweep_rows(tmp_path, rows) == self.expected_lines(rows)
         for k in range(0, len(SPECIAL_CELLS), 11):
             values = (SPECIAL_CELLS + [None] * 10)[k : k + 11]
@@ -387,10 +511,12 @@ class TestCellFormat:
         ),
     )
     def test_any_floats(self, tmp_path_factory, blanks, draws):
-        # one blank pattern per region, as cli._row has
+        # one blank pattern per region, as cli._BLANKS has; a sweep meets the
+        # regions in the order MU, H1, F, so the rows are sorted into it
+        order = ["MuRegion", "H1Region", "FRegion"]
         rows = [
             (region, [None if blank else x for blank, x in zip(blanks[region], values)])
-            for region, values in draws
+            for region, values in sorted(draws, key=lambda draw: order.index(draw[0]))
         ]
         assert self.sweep_rows(tmp_path_factory.mktemp("cells"), rows) == self.expected_lines(rows)
         for _, values in rows:

@@ -362,6 +362,50 @@ class TestUncheckedKernel:
             assert core.n_function(p, c) == n
             assert core.k_function(p, c) == k + 4.0
 
+    def test_closed_form_kernels_match_public_functions(self):
+        """Each closed form's kernel, which cli._cells runs for a sweep row,
+        returns the public function's value, sign of zero included, wherever
+        the public function returns one: on 10 000 seeded overlaps (uniform
+        and log-uniform in (0, 1]) and the special floats of
+        tests/test_package.py; for nats_to_bits, on the special floats and on
+        the values that the other functions return."""
+        from test_package import _special_floats
+
+        rng = random.Random("closed-form-kernels")
+        xs = [1.0 - rng.random() for _ in range(5000)] + [10.0 ** -rng.uniform(0.0, 160.0) for _ in range(5000)]
+        xs += _special_floats()
+
+        def inverse(x):
+            return 1.0 / x if x > 0.0 else math.inf
+
+        pairs = [
+            (core.b_mu, core._b_mu),
+            (core.f_bound, core._f_bound),
+            (core.m_inf, core._m_inf),
+            (core.h_min, lambda p: core._h_min(p, inverse(p))),
+            (core.multiplicity_of, lambda p: core._multiplicity(p, inverse(p))),
+            (core.g_bound, lambda c: core._h_min(c * c, inverse(c * c))),
+            (core.lattice_bound, lambda c: core._lattice_bound(inverse(c * c))),
+        ]
+        entropies = []
+        checked = 0
+        for public, kernel in pairs:
+            for x in xs:
+                expected = _outcome(public, x)
+                if isinstance(expected, tuple):  # the public function raised
+                    continue
+                got = kernel(x)
+                assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected), (public, x)
+                if isinstance(expected, float):
+                    entropies.append(expected)
+                checked += 1
+        assert checked > 50_000
+        for x in entropies + _special_floats():
+            expected = _outcome(core.nats_to_bits, x)
+            if not isinstance(expected, tuple):
+                got = core._nats_to_bits(x)
+                assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected), x
+
     def test_shared_terms_equal_separate_formulas(self):
         """N, K - 4 and E_1 from one evaluation of their shared terms are ==
         to the three formulas evaluated separately, at 200 points of each of
@@ -395,6 +439,14 @@ class TestUncheckedKernel:
 
 
 class TestBVs:
+    def test_region_edges_are_those_of_classify_region(self):
+        edges = solve._region_edges()
+        assert edges == (core.INV_SQRT2, solve.c_star().root)
+        mu, h1, f = solve.RegionTag
+        for edge, below, above in zip(edges, (mu, h1), (h1, f)):
+            assert solve.classify_region(math.nextafter(edge, 0.0)).tag is below
+            assert solve.classify_region(edge).tag is above
+
     def test_mu_region(self):
         rep = solve.b_vs(0.5)
         assert rep.nats == pytest.approx(2 * LN2, abs=1e-15)
