@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import itertools
 import math
 import os
 import sys
@@ -178,7 +179,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     span = (hi - lo) / step
     if not math.isfinite(span) or lo + step == lo:
         raise DomainError(f"step {step} is too small to advance from {lo} to {hi}")
-    count = int(math.floor(span + 1e-9)) + 1
     # c only grows from `from`, so the first row is the only one that a domain
     # error (c^2 too small) can reach: it runs every check, before --out is created
     cells, tag, _ = _row(lo, args.bits)
@@ -188,7 +188,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         with open(args.out, "w", newline="") as out:
             out.write(",".join([*_COLUMNS, "region"]) + "\n")
-            for k in range(count):
+            for k in itertools.count():
                 if k:  # row 0 stays at `from`, whatever the step
                     c = lo + k * step
                     if abs(c - hi) < step * 1e-6:

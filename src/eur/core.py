@@ -223,14 +223,8 @@ def lattice_bound(c: float) -> float:
 
 def _lattice_bound(inv_c2: float) -> float:
     # lattice_bound without its checks, from inv_c2 = 1/c^2, finite: ln M with
-    # M = ceil(1/c^2), as in _lattice_multiplicity
+    # M = ceil(1/c^2), the least integer with 1/sqrt(M) <= c
     return math.log(math.ceil(inv_c2))
-
-
-def _lattice_multiplicity(c: float) -> int:
-    """Least integer M with 1/sqrt(M) <= c, i.e. ceil(1/c^2); the reciprocal
-    pair (1, 1/M) is the lattice candidate at overlap c."""
-    return math.ceil(_inverse_square(c))
 
 
 def p_b_of_p_a(p_a: float, c: float) -> float:

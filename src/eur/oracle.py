@@ -1,6 +1,6 @@
 """Brute-force verification oracles, independent of the analytic reduction.
 
-Five checks, each attacking the closed-form results from a different side:
+Four checks, each attacking the closed-form results from a different side:
 
   * grid_min          -- minimum of h_min(P_A) + h_min(P_B) under the raw
                          Landau-Pollak constraint, on the line where it is
@@ -21,10 +21,7 @@ Five checks, each attacking the closed-form results from a different side:
                          curvature, their controls) and of the extremum
                          character of the constrained objective; N, K and
                          E_1 are sampled in one pass, from one evaluation of
-                         their shared terms per sample;
-  * boundary_case_min -- the two boundary candidate families (P_A = 1 and
-                         reciprocal lattice pairs), with the signed gap of
-                         the better one over the piecewise bound.
+                         their shared terms per sample.
 
 grid_min and qubit_min share one saturated-line minimizer (_line_min), a
 scan refined by golden section (_scan_golden); they differ only in h,
@@ -45,20 +42,17 @@ from .core import (
     INV_SQRT2,
     _check_unit,
     _curves,
-    _lattice_multiplicity,
     _p_b,
     admissible_interval,
     b_mu,
     binary_entropy,
-    g_bound,
     k_function,
-    lattice_bound,
     m1_objective,
     m_inf,
     n_function,
 )
 from .errors import DomainError
-from .solve import BoundReport, RegionTag, b_vs, c_star, classify_region
+from .solve import BoundReport, RegionTag, _region_edges, b_vs, classify_region
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,7 +65,6 @@ __all__ = [
     "qubit_min",
     "random_state_check",
     "shape_check",
-    "boundary_case_min",
 ]
 
 
@@ -279,8 +272,8 @@ def _draw_samples(rng: np.random.Generator, dim: int, k: int) -> tuple[np.ndarra
 def _bound_cells(bound: Callable[[float], BoundReport]) -> tuple[np.ndarray, np.ndarray]:
     """Knots on (0, 1] and an upper bound of bound(c).nats on each cell.
 
-    The knots are i/_BOUND_KNOTS plus the region edges 1/sqrt(2) and c_star,
-    so no cell holds two regions.  Cell j is (knots[j-1], knots[j]]; its
+    The knots are i/_BOUND_KNOTS plus the region edges of _region_edges, so
+    no cell holds two regions.  Cell j is (knots[j-1], knots[j]]; its
     upper bound is the larger of its two end values plus _SCREEN_SLACK,
     which holds wherever the bound is monotone inside the cell, in either
     direction.  Cell 0 gets +inf, since -2 ln c has no bound as c -> 0.
@@ -289,7 +282,7 @@ def _bound_cells(bound: Callable[[float], BoundReport]) -> tuple[np.ndarray, np.
     import numpy as np
 
     steps = np.arange(1, _BOUND_KNOTS + 1) / _BOUND_KNOTS
-    knots = np.sort(np.append(steps, (INV_SQRT2, c_star().root)))
+    knots = np.sort(np.append(steps, _region_edges()))
     values = np.array([bound(float(c)).nats for c in knots])
     upper = np.append(np.inf, np.maximum(values[:-1], values[1:]) + _SCREEN_SLACK)
     return knots, upper
@@ -415,32 +408,6 @@ def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
         e1_sign_changes=_sign_changes(e_vals),
         m1_step_below=m1_objective(mid - h_off, c) - v0,
         m1_step_above=m1_objective(mid + h_off, c) - v0,
-    )
-
-
-def boundary_case_min(c: float) -> OracleReport:
-    """Minimum over the boundary candidate families for c > 1/sqrt(2): the
-    pair (P_A, P_B) = (1, c^2) and the reciprocal lattice pairs.  The signed
-    gap is negative where a candidate undercuts the piecewise bound (they tie
-    only at c = 1); no exception is raised for it."""
-    if not (INV_SQRT2 < c <= 1.0):
-        raise DomainError(f"boundary_case_min requires 1/sqrt(2) < c <= 1, got {c!r}")
-    g = g_bound(c)
-    lat = lattice_bound(c)
-    if g <= lat:
-        val: float = g
-        arg = (1.0, c * c)
-    else:
-        val = lat
-        arg = (1.0, 1.0 / _lattice_multiplicity(c))
-    ref = b_vs(c).nats
-    return OracleReport(
-        c=c,
-        oracle_min=val,
-        analytic_ref=ref,
-        gap=val - ref,
-        argmin=arg,
-        resolution="closed-form boundary candidates",
     )
 
 

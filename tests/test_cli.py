@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -246,7 +247,7 @@ def reference_sweep_csv(lo, hi, step, bits=False):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_HEADER)
-    for k in range(int(math.floor((hi - lo) / step + 1e-9)) + 1):
+    for k in itertools.count():
         c = lo + k * step
         if k and abs(c - hi) < step * 1e-6:
             c = hi
@@ -313,13 +314,17 @@ class TestSweepWriter:
         assert [row[9] for row in rows[1:]] == regions
 
     @pytest.mark.parametrize("flags", [(), ("--bits",)], ids=["nats", "bits"])
-    @pytest.mark.parametrize("shape", ["benchmark", "inv_sqrt2", "c_star", "smallest_overlaps", "to_one"])
+    @pytest.mark.parametrize(
+        "shape", ["benchmark", "inv_sqrt2", "c_star", "smallest_overlaps", "to_one", "to_one_by_1e-14"]
+    )
     def test_where_the_writer_branches(self, capsys, tmp_path, shape, flags):
         """25 001 rows at step 2e-5 from a seeded --from in [0.40, 0.50], as
         the benchmark sweeps; steps of 1e-16, below one ulp, across 1/sqrt(2)
         and c_star, where c repeats and a region's run ends; the smallest
         overlaps whose 1/c^2 is finite; and overlaps up to 1, whose cells
-        hold -0.0."""
+        hold -0.0, also at a step whose quotient (to - from)/step rounds
+        below the row count.  Where the last row's c is --to, the row count
+        says so: 12 digits do not tell it from the row before."""
         if shape == "benchmark":
             lo = round(0.40 + 0.10 * random.Random("sweep-writer").random(), 5)
             rows = self.sweep(capsys, tmp_path, lo, round(lo + 2e-5 * 25_000, 5), 2e-5, *flags)
@@ -327,9 +332,12 @@ class TestSweepWriter:
             assert {row[9] for row in rows[1:]} == {"MuRegion", "H1Region", "FRegion"}
         elif shape in ("inv_sqrt2", "c_star"):
             e = core.INV_SQRT2 if shape == "inv_sqrt2" else solve.c_star().root
-            rows = self.sweep(capsys, tmp_path, e - 3e-15, e + 3e-15, 1e-16, *flags)
+            lo, hi = e - 3e-15, e + 3e-15
+            rows = self.sweep(capsys, tmp_path, lo, hi, 1e-16, *flags)
             assert len({row[0] for row in rows[1:]}) < len(rows) - 1  # c repeats
             assert len({row[9] for row in rows[1:]}) == 2
+            # the last row is row 60, at from + 60 step = to, though (to - from)/step is 59.95
+            assert (len(rows) - 1, lo + 60 * 1e-16) == (61, hi)
         elif shape == "smallest_overlaps":
             assert 1.0 / (1e-154 * 1e-154) < math.inf
             rows = self.sweep(capsys, tmp_path, 1e-154, 1e-153, 1e-155, *flags)
@@ -337,8 +345,12 @@ class TestSweepWriter:
         else:
             assert math.copysign(1.0, core.f_bound(1.0)) == -1.0
             lo = 0.999999999999
-            rows = self.sweep(capsys, tmp_path, lo, 1.0, (1.0 - lo) / 100, *flags)
+            step = (1.0 - lo) / 100 if shape == "to_one" else 1e-14
+            rows = self.sweep(capsys, tmp_path, lo, 1.0, step, *flags)
             assert rows[-1] == ["1", "0", "0", "0", "0", "0", "", "", "0", "FRegion"]
+            # the last row is row 100, at from + 100 step = to, though at step
+            # 1e-14 (to - from)/step is 99.998
+            assert (len(rows) - 1, lo + 100 * step) == (101, 1.0)
 
     @pytest.mark.parametrize("lo,checked_first_row", [(0.72, 0), (0.5, 1)])
     def test_h1_rows_reach_b_vs(self, capsys, tmp_path, monkeypatch, lo, checked_first_row):

@@ -535,44 +535,6 @@ class TestShapeCheck:
             assert oracle._sign_changes(values.tolist()) == reference_sign_changes(values)
 
 
-class TestBoundaryCaseMin:
-    def test_above_critical(self):
-        rep = oracle.boundary_case_min(0.9)
-        assert rep.oracle_min == pytest.approx(core.g_bound(0.9), abs=1e-14)
-        assert rep.gap > 0.0
-        assert rep.argmin == (1.0, pytest.approx(0.81))
-
-    def test_h1_region(self):
-        rep = oracle.boundary_case_min(0.8)
-        assert rep.oracle_min == pytest.approx(core.g_bound(0.8), abs=1e-14)
-        assert rep.oracle_min > solve.h1_bound(0.8)
-
-    def test_lattice_wins_near_one(self):
-        # close to c = 1 the two-point entropy beats ln 2 is false: g -> 0
-        rep = oracle.boundary_case_min(0.999)
-        assert rep.oracle_min == pytest.approx(core.g_bound(0.999), abs=1e-14)
-
-    def test_trivial_overlap(self):
-        rep = oracle.boundary_case_min(1.0)
-        assert rep.oracle_min == 0.0
-        assert rep.gap == 0.0
-
-    def test_undercut_is_reported_not_raised(self, monkeypatch):
-        # a bound raised by 1 lies above both candidates: the gap says so
-        before = oracle.boundary_case_min(0.9)
-        real = oracle.b_vs
-        monkeypatch.setattr(oracle, "b_vs", lambda c: real(c)._replace(nats=real(c).nats + 1.0))
-        rep = oracle.boundary_case_min(0.9)
-        assert rep.oracle_min == before.oracle_min
-        assert rep.gap < 0.0
-        assert rep.gap == pytest.approx(before.gap - 1.0, abs=1e-14)
-
-    @pytest.mark.parametrize("c", [core.INV_SQRT2, 0.5])
-    def test_domain(self, c):
-        with pytest.raises(DomainError):
-            oracle.boundary_case_min(c)
-
-
 class TestDeltaMInfLimit:
     def test_decreasing_to_zero(self):
         pairs = oracle.delta_m_inf_limit()

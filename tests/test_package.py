@@ -248,6 +248,21 @@ def test_traced_names_exist():
     assert solve.b_vs(0.8).region.tag is solve.RegionTag.H1
 
 
+def test_every_public_oracle_runs_in_a_suite():
+    """Every function in oracle.__all__ is called by a verify suite, as
+    oracle.<name> in src/eur/cli.py: an oracle that no suite runs checks
+    nothing that the CLI reports.  The file is read with ast."""
+    tree = ast.parse((ROOT / "src" / "eur" / "cli.py").read_text())
+    referenced = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "oracle"
+    }
+    functions = [name for name in oracle.__all__ if inspect.isfunction(getattr(oracle, name))]
+    assert functions
+    assert sorted(set(functions) - referenced) == []
+
+
 # each record's fields, in the order that positional construction and unpacking rely on
 _RECORD_FIELDS = {
     eur.AdmissibleInterval: ("lo", "hi"),

@@ -553,9 +553,13 @@ class TestShapeInvariants:
             assert core.g_bound(c) > core.f_bound(c)
 
     def test_lattice_dominates_b_vs(self):
-        for k in range(101):
-            c = core.INV_SQRT2 + k * (1.0 - core.INV_SQRT2) / 100.0
+        # the boundary pair's g never exceeds the lattice value either, so the
+        # lattice candidates never undercut it; just above 1/sqrt(2) both are ln 2
+        cs = [core.INV_SQRT2 + k * (1.0 - core.INV_SQRT2) / 100.0 for k in range(101)]
+        ulps_above = [core.INV_SQRT2 + k * math.ulp(core.INV_SQRT2) for k in range(1, 21)]
+        for c in cs + ulps_above:
             assert core.lattice_bound(c) >= solve.b_vs(c).nats - 1e-12
+            assert core.lattice_bound(c) >= core.g_bound(c)
 
 
 class TestKktAtStationaryPoints:
