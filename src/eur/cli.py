@@ -88,8 +88,8 @@ def _cells(c: float, tag: solve.RegionTag, nats: float, bits: bool) -> tuple[flo
     b_vs value is `nats`; entropies in nats, or in bits.  Each closed form
     runs once, as its core kernel, without its checks: b_vs is b_mu in the MU
     region and f_bound in the F region, and g and lattice share 1/c^2.  So c
-    must lie in `tag`, and in [c0, 1] for an overlap c0 that passed _row's
-    checks."""
+    must lie in `tag`, and 1/c^2 must be finite.  Nothing can fail in the
+    conversion to bits then: every entropy is finite, below 710 nats."""
     c2 = c * c
     inv_c2 = 1.0 / c2
     theta, g, lattice = math.acos(c), core._h_min(c2, inv_c2), core._lattice_bound(inv_c2)
@@ -104,19 +104,6 @@ def _cells(c: float, tag: solve.RegionTag, nats: float, bits: bool) -> tuple[flo
     return cells
 
 
-def _row(
-    c: float, bits: bool
-) -> tuple[tuple[float, ...], solve.RegionTag, Optional[tuple[float, float]]]:
-    """_cells at overlap c, with its region tag and the extremizing (P_A, P_B)
-    of b_vs, after the checks that the public functions of those values make:
-    b_vs checks c, and g and lattice need a finite 1/c^2.  Nothing can fail in
-    the conversion to bits then: every entropy is finite, below 710 nats."""
-    report = solve.b_vs(c)  # validates c
-    core._inverse_square(c)  # g_bound's and lattice_bound's error if c^2 is too small
-    tag = report.region.tag
-    return _cells(c, tag, report.nats, bits), tag, report.witness
-
-
 def _print_json(obj) -> None:
     """Print obj as one JSON line; json is loaded only by a --json command."""
     import json
@@ -125,8 +112,10 @@ def _print_json(obj) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cells, tag, witness = _row(args.c, args.bits)
-    values, blanks = iter(cells), _BLANKS[tag]
+    report = solve.b_vs(args.c)  # validates c
+    core._inverse_square(args.c)  # g_bound's and lattice_bound's error if c^2 is too small
+    tag, witness = report.region.tag, report.witness
+    values, blanks = iter(_cells(args.c, tag, report.nats, args.bits)), _BLANKS[tag]
     rec = {col: None if col in blanks else next(values) for col in _COLUMNS}
     rec["region"] = str(tag)
     rec["witness_p_a"] = witness[0] if witness else None
@@ -179,32 +168,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     span = (hi - lo) / step
     if not math.isfinite(span) or lo + step == lo:
         raise DomainError(f"step {step} is too small to advance from {lo} to {hi}")
-    # c only grows from `from`, so the first row is the only one that a domain
-    # error (c^2 too small) can reach: it runs every check, before --out is created
-    cells, tag, _ = _row(lo, args.bits)
+    # every row has from <= c <= to <= 1, where b_vs accepts c and 1/c^2 is at
+    # most 1/from^2: this one check, before --out is created, covers them all
+    core._inverse_square(lo)
     mu_end, h1_end = solve._region_edges()
-    line = _line_template(tag)
     mu_line, h1_line, f_line = map(_line_template, (_MU, _H1, _F))
     try:
         with open(args.out, "w", newline="") as out:
             out.write(",".join([*_COLUMNS, "region"]) + "\n")
             for k in itertools.count():
-                if k:  # row 0 stays at `from`, whatever the step
-                    c = lo + k * step
-                    if abs(c - hi) < step * 1e-6:
-                        c = hi  # snap the final sample; k*step can overshoot by ulps
-                    elif c > hi:
-                        break
-                    # from <= c <= to, so the first row's checks hold here too:
-                    # the row runs kernels only, but for the H1 solve, which
-                    # keeps its mirrored-value check behind b_vs
-                    if c < mu_end:
-                        tag, nats, line = _MU, core._b_mu(c), mu_line
-                    elif c < h1_end:
-                        tag, nats, line = _H1, solve.b_vs(c).nats, h1_line
-                    else:
-                        tag, nats, line = _F, core._f_bound(c), f_line
-                    cells = _cells(c, tag, nats, args.bits)
+                c = lo + k * step
+                if k and abs(c - hi) < step * 1e-6:  # row 0 stays at `from`
+                    c = hi  # snap the final sample; k*step can overshoot by ulps
+                elif c > hi:
+                    break
+                # the rows run kernels only, but for the H1 solve, which keeps
+                # its mirrored-value check behind b_vs
+                if c < mu_end:
+                    tag, nats, line = _MU, core._b_mu(c), mu_line
+                elif c < h1_end:
+                    tag, nats, line = _H1, solve.b_vs(c).nats, h1_line
+                else:
+                    tag, nats, line = _F, core._f_bound(c), f_line
+                cells = _cells(c, tag, nats, args.bits)
                 if 0.0 in cells:  # a zero cell may be -0.0, which _CELL prints as -0
                     cells = tuple([x + 0.0 for x in cells])
                 out.write(line % cells)

@@ -352,11 +352,11 @@ class TestSweepWriter:
             # 1e-14 (to - from)/step is 99.998
             assert (len(rows) - 1, lo + 100 * step) == (101, 1.0)
 
-    @pytest.mark.parametrize("lo,checked_first_row", [(0.72, 0), (0.5, 1)])
-    def test_h1_rows_reach_b_vs(self, capsys, tmp_path, monkeypatch, lo, checked_first_row):
+    @pytest.mark.parametrize("lo", [0.72, 0.5])
+    def test_h1_rows_reach_b_vs(self, capsys, tmp_path, monkeypatch, lo):
         """Every H1 row takes its value from solve.b_vs, with the solve's own
-        mirrored-value check; the other rows call it only as the first row,
-        which runs every check through it."""
+        mirrored-value check, and no other row calls it: the first row runs
+        the same kernels as the rest, whatever its region."""
         calls, b_vs = [], solve.b_vs
         monkeypatch.setattr(cli.solve, "b_vs", lambda c: calls.append(c) or b_vs(c))
         out_path = tmp_path / "sweep.csv"
@@ -364,7 +364,7 @@ class TestSweepWriter:
         assert code == 0
         regions = [row[9] for row in csv.reader(out_path.read_text().splitlines()[1:])]
         assert {"H1Region", "FRegion"} <= set(regions)
-        assert len(calls) == regions.count("H1Region") + checked_first_row
+        assert len(calls) == regions.count("H1Region")
 
 
 def reference_eval(c, bits, as_json):

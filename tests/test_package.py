@@ -224,8 +224,12 @@ _TRACED_GROUPS = {
 
 def test_traced_names_exist():
     """perfbench/trace_run.py's traced() skips any name a module no longer
-    has, so a rename would drop a per-layer metric and fail nothing.  The
-    file is read with ast, never imported."""
+    has, so a rename would drop a per-layer metric and fail nothing; and
+    micro() and traced() read some names directly, as `solve.c_star`, so a
+    rename would end every traced run with an AttributeError.  Every name of
+    the traced groups, every `patch(<module>, "<name>", ...)` and every
+    `<module>.<name>` read on cli, core, oracle or solve must exist.  The file
+    is read with ast, never imported."""
     tree = ast.parse((ROOT / "perfbench" / "trace_run.py").read_text())
     groups = {
         target.id: ast.literal_eval(node.value)
@@ -235,16 +239,18 @@ def test_traced_names_exist():
         if isinstance(target, ast.Name) and target.id in _TRACED_GROUPS
     }
     assert set(groups) == set(_TRACED_GROUPS)
-    modules = {"core": core, "oracle": oracle, "solve": solve}
-    missing = [
-        f"{group}: {_TRACED_GROUPS[group]}.{name}"
-        for group, names in groups.items()
-        for name in names
-        if not hasattr(modules[_TRACED_GROUPS[group]], name)
-    ]
+    modules = {"cli": cli, "core": core, "oracle": oracle, "solve": solve}
+    names = {(_TRACED_GROUPS[group], name) for group, group_names in groups.items() for name in group_names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            names.add((node.value.id, node.attr))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "patch":
+            module, attr = node.args[:2]
+            if isinstance(module, ast.Name) and module.id in modules and isinstance(attr, ast.Constant):
+                names.add((module.id, attr.value))
+    missing = sorted(f"{module}.{name}" for module, name in names if not hasattr(modules[module], name))
     assert missing == []
     # the H1 time of the trace reads the region tag of each traced b_vs report
-    assert hasattr(solve, "b_vs") and hasattr(oracle, "b_vs")
     assert solve.b_vs(0.8).region.tag is solve.RegionTag.H1
 
 

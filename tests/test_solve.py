@@ -859,16 +859,44 @@ class TestAngleEquationDuality:
         grid = [0.01 + 0.69 * k / 59 for k in range(60)]
         return tiny + grid + edges + near_top + [rng.uniform(0.01, 0.7) for _ in range(25)]
 
+    @staticmethod
+    def predicted_roots(theta, pairs):
+        """Every alpha in (-pi/4, pi/2), outside the exclusion radius, whose
+        (cos^2 alpha, cos^2(theta - alpha)) is one of `pairs`, in either
+        order, up to P -> 1 - P on either side: cos^2 alpha = u or 1 - u
+        exactly at alpha = +-arccos(sqrt(u)) + n pi/2.  Sorted, and merged
+        within 1e-9."""
+        found = []
+        for w in pairs:
+            for u, v in (w, w[::-1]):
+                a = math.acos(math.sqrt(u))
+                for alpha in (s * a + n * 0.5 * math.pi for s in (1.0, -1.0) for n in range(-1, 3)):
+                    p_b = math.cos(theta - alpha) ** 2
+                    if (
+                        -0.25 * math.pi < alpha < 0.5 * math.pi
+                        and abs(max(p_b, 1.0 - p_b) - v) <= 1e-9
+                        and all(abs(alpha - e) > solve._EXCLUSION_RADIUS for e in solve._excluded_points(theta))
+                    ):
+                        found.append(alpha)
+        merged = []
+        for alpha in sorted(found):
+            if not merged or alpha - merged[-1] > 1e-9:
+                merged.append(alpha)
+        return merged
+
     def test_roots_are_reflected_dual_stationary_pairs(self):
         """Each root, with P -> max(P, 1 - P) on both sides, is the dual
         symmetric point or, in the dual H1 region, the dual H1 witness up to
         swap; its entropy sum is that pair's value; no root is admissible.
         There is 1 root below the birth overlap sqrt(1 - c_star^2) and 5
-        above it, away from it and from 1/sqrt(2)."""
+        above it, away from it and from 1/sqrt(2), and from c = 1e-4 on the
+        roots are, one to one within 1e-10, the angles predicted_roots gives
+        for those pairs.  Below 1e-4 the map from P near 1 to alpha near 0
+        loses too many digits in floats for that."""
         c_b = _dual_overlap(CSTAR)
         overlaps = self.overlaps()
         assert len(overlaps) >= 100
-        counted = 0
+        counted = matched = 0
         for c in overlaps:
             dual = _dual_overlap(c)
             mid = 0.5 * (1.0 + dual)
@@ -889,4 +917,9 @@ class TestAngleEquationDuality:
             if abs(c - c_b) > 1e-6 and c <= core.INV_SQRT2 - 1e-3:
                 assert len(roots) == (1 if c < c_b else 5), c
                 counted += 1
-        assert counted >= 90
+                if c >= 1e-4:
+                    predicted = self.predicted_roots(math.acos(c), [w for w, _ in candidates])
+                    assert len(predicted) == len(roots), (c, predicted, roots)
+                    assert all(abs(p - root.alpha) <= 1e-10 for p, root in zip(predicted, roots)), (c, predicted, roots)
+                    matched += 1
+        assert counted >= 90 and matched >= 90
