@@ -66,8 +66,7 @@ def _setting(flag, name: str, kind: type, noun: str, default):
         raise DomainError(f"environment variable {name} is not {noun}: {raw!r}")
 
 
-# An `eval` or `sweep` cell holding x prints _CELL % (x + 0.0): 12 significant
-# digits, and + 0.0 turns negative zero into 0.0, so that it prints as 0.
+# An `eval` or `sweep` cell holding x prints _CELL % x: 12 significant digits.
 _CELL = "%.12g"
 
 # The _COLUMNS that each region leaves blank: m_inf outside the MU region, h1
@@ -126,7 +125,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return EXIT_OK
     width = max(map(len, rec))
     for k, v in rec.items():
-        text = "" if v is None else v if isinstance(v, str) else _CELL % (v + 0.0)
+        text = "" if v is None else v if isinstance(v, str) else _CELL % v
         print(f"{k:<{width}} = {text}")
     return EXIT_OK
 
@@ -190,10 +189,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     tag, nats, line = _H1, solve.b_vs(c).nats, h1_line
                 else:
                     tag, nats, line = _F, core._f_bound(c), f_line
-                cells = _cells(c, tag, nats, args.bits)
-                if 0.0 in cells:  # a zero cell may be -0.0, which _CELL prints as -0
-                    cells = tuple([x + 0.0 for x in cells])
-                out.write(line % cells)
+                out.write(line % _cells(c, tag, nats, args.bits))
     except OSError as exc:
         return _cannot_write(args.out, exc)
     return EXIT_OK

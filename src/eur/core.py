@@ -11,6 +11,9 @@ linked by the Landau-Pollak inequality
 
 Conventions:
   * 0 * ln 0 = 0, implemented by explicit branches (never NaN propagation).
+  * A zero entropy is +0.0, never -0.0.  A kernel that negates its log terms
+    subtracts them from 0.0: 0.0 - a - b is +0.0 where -a - b is -0.0, and
+    has the same bits everywhere else.
   * Values "at an endpoint" of an admissible interval come from the dedicated
     closed-form limit functions; raw evaluation inside a 1e-9-relative
     neighborhood of an endpoint raises DomainError.
@@ -123,7 +126,7 @@ def binary_entropy(p: float) -> float:
     """
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"probability must lie in [0, 1], got {p!r}")
-    return -_xlnx(p) - _xlnx(1.0 - p)
+    return 0.0 - _xlnx(p) - _xlnx(1.0 - p)
 
 
 def multiplicity_of(p: float) -> int:
@@ -162,7 +165,7 @@ def _h_min(p: float, inv: float) -> float:
     rem = 1.0 - m * p
     if rem < 0.0:  # ulp-level overshoot at reciprocal boundaries
         rem = 0.0
-    return -m * p * math.log(p) - _xlnx(rem)
+    return 0.0 - m * p * math.log(p) - _xlnx(rem)
 
 
 def b_mu(c: float) -> float:
@@ -173,7 +176,7 @@ def b_mu(c: float) -> float:
 
 def _b_mu(c: float) -> float:
     # b_mu without its checks
-    return -2.0 * math.log(c)
+    return 0.0 - 2.0 * math.log(c)
 
 
 def f_bound(c: float) -> float:
@@ -191,7 +194,7 @@ def f_bound(c: float) -> float:
 
 def _f_bound(c: float) -> float:
     # f_bound without its checks
-    return -_xlnx_half(1.0 + c) - _xlnx_half(1.0 - c)
+    return 0.0 - _xlnx_half(1.0 + c) - _xlnx_half(1.0 - c)
 
 
 def _xlnx_half(x: float) -> float:

@@ -232,6 +232,8 @@ class TestSweep:
 
 
 def _reference_cell(x):
+    # + 0.0 prints a zero as 0 whatever its sign, so a -0.0 that reaches a
+    # cell of `eval` or `sweep`, where it prints as -0, fails the byte compare
     return "" if x is None else f"{x + 0.0:.12g}"
 
 
@@ -286,8 +288,8 @@ class TestSweepWriter:
         return list(csv.reader(data.decode().splitlines()))
 
     def test_all_regions_to_one(self, capsys, tmp_path):
-        # b_mu(1) is -0.0 and must print as 0
-        assert math.copysign(1.0, core.b_mu(1.0)) == -1.0
+        # b_mu(1) is +0.0, which prints as 0
+        assert math.copysign(1.0, core.b_mu(1.0)) == 1.0
         rows = self.sweep(capsys, tmp_path, 0.3, 1.0, 0.0125)
         assert {row[9] for row in rows[1:]} == {"MuRegion", "H1Region", "FRegion"}
         assert rows[-1][:3] == ["1", "0", "0"]
@@ -322,7 +324,7 @@ class TestSweepWriter:
         the benchmark sweeps; steps of 1e-16, below one ulp, across 1/sqrt(2)
         and c_star, where c repeats and a region's run ends; the smallest
         overlaps whose 1/c^2 is finite; and overlaps up to 1, whose cells
-        hold -0.0, also at a step whose quotient (to - from)/step rounds
+        hold +0.0, also at a step whose quotient (to - from)/step rounds
         below the row count.  Where the last row's c is --to, the row count
         says so: 12 digits do not tell it from the row before."""
         if shape == "benchmark":
@@ -343,7 +345,7 @@ class TestSweepWriter:
             rows = self.sweep(capsys, tmp_path, 1e-154, 1e-153, 1e-155, *flags)
             assert len(rows) == 1 + 91
         else:
-            assert math.copysign(1.0, core.f_bound(1.0)) == -1.0
+            assert math.copysign(1.0, core.f_bound(1.0)) == 1.0
             lo = 0.999999999999
             step = (1.0 - lo) / 100 if shape == "to_one" else 1e-14
             rows = self.sweep(capsys, tmp_path, lo, 1.0, step, *flags)
@@ -416,7 +418,20 @@ def test_eval_matches_the_public_functions(capsys):
             assert out == reference_eval(c, "--bits" in flags, "--json" in flags), (c, flags)
 
 
-# Floats a cell must print as f"{x + 0.0:.12g}": signed zeros, infinities,
+@pytest.mark.parametrize("flags", [(), ("--bits",)], ids=["nats", "bits"])
+def test_eval_json_at_one_prints_no_negative_zero(capsys, flags):
+    # json prints a float as its repr, which keeps the sign of a zero
+    code, out, err = run_cli(capsys, "eval", "--json", "--c", "1", *flags)
+    assert (code, err) == (0, "")
+    assert "-0.0" not in out
+    assert [json.loads(out)[col] for col in ("b_mu", "f", "g", "lattice", "b_vs")] == [0.0] * 5
+
+
+def _printed_cell(x):
+    return "" if x is None else f"{x:.12g}"
+
+
+# Floats a cell must print as f"{x:.12g}": signed zeros, infinities,
 # nan, subnormals, the normal limits, 1 - ulp, and values whose 12-digit
 # rounding carries or switches to an exponent
 SPECIAL_CELLS = [
@@ -427,7 +442,7 @@ SPECIAL_CELLS = [
 
 
 class TestCellFormat:
-    """Every float that cli._cells gives prints as f"{x + 0.0:.12g}", in a
+    """Every float that cli._cells gives prints as f"{x:.12g}", in a
     sweep cell and in an eval cell, and a column that its region leaves blank
     (cli._BLANKS) as an empty cell."""
 
@@ -481,7 +496,7 @@ class TestCellFormat:
     @staticmethod
     def expected_lines(rows):
         return [",".join(SWEEP_HEADER)] + [
-            ",".join([*map(_reference_cell, values), region]) for region, values in rows
+            ",".join([*map(_printed_cell, values), region]) for region, values in rows
         ]
 
     def eval_cells(self, values, witness):
@@ -505,8 +520,7 @@ class TestCellFormat:
         assert self.sweep_rows(tmp_path, rows) == self.expected_lines(rows)
         for k in range(0, len(SPECIAL_CELLS), 11):
             values = (SPECIAL_CELLS + [None] * 10)[k : k + 11]
-            assert self.eval_cells(values[:9], values[9:]) == [*map(_reference_cell, values)]
-        assert self.eval_cells([-0.0] * 9, None) == ["0"] * 9 + ["", ""]
+            assert self.eval_cells(values[:9], values[9:]) == [*map(_printed_cell, values)]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -532,7 +546,7 @@ class TestCellFormat:
         ]
         assert self.sweep_rows(tmp_path_factory.mktemp("cells"), rows) == self.expected_lines(rows)
         for _, values in rows:
-            assert self.eval_cells(values, values[:2]) == [*map(_reference_cell, values + values[:2])]
+            assert self.eval_cells(values, values[:2]) == [*map(_printed_cell, values + values[:2])]
 
 
 class TestWriteFailures:

@@ -314,6 +314,45 @@ class TestQubitMin:
                 assert lhs >= theta - 1e-12
 
 
+# b_vs lies above the true minimum on (1/sqrt(2), 1/sqrt(2) + 3.4640133713681465e-6)
+_WINDOW_END = core.INV_SQRT2 + 3.5e-6
+
+
+def _line_oracle_overlaps():
+    """200 overlaps in [1/sqrt(2), 1] outside (1/sqrt(2), _WINDOW_END):
+    1/sqrt(2) and the overlaps 10^(-k/2) above it, k = 4..10, c_star +-
+    10^(-k/2), k = 4..24, 0.99 to 1 in steps of 0.001, and seeded draws."""
+    lo = core.INV_SQRT2
+    overlaps = [lo] + [lo + 10.0 ** (-k / 2) for k in range(4, 11)]
+    overlaps += [_C_STAR + s * 10.0 ** (-k / 2) for k in range(4, 25) for s in (-1.0, 1.0)]
+    overlaps += [0.99 + 0.001 * k for k in range(11)]
+    rng = random.Random("line-oracles")
+    while len(overlaps) < 200:
+        c = lo + (1.0 - lo) * rng.random()
+        if c >= _WINDOW_END:
+            overlaps.append(c)
+    return overlaps
+
+
+@pytest.mark.parametrize("minimize", [oracle.grid_min, oracle.qubit_min], ids=["grid", "qubit"])
+def test_line_oracles_resolve_b_vs(minimize):
+    """Both line oracles find b_vs to 1e-13 across [1/sqrt(2), 1], both
+    region edges included, outside the window just above 1/sqrt(2)."""
+    overlaps = _line_oracle_overlaps()
+    assert not any(core.INV_SQRT2 < c < _WINDOW_END for c in overlaps)
+    assert max(abs(minimize(c).gap) for c in overlaps) <= 1e-13
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 18")
+def test_line_oracles_do_not_undercut_b_vs_in_the_window():
+    """Inside the window b_vs answers with the end pair (c^2, 1), above the
+    true minimum, and both oracles undercut it by 2.6e-13 to 3.2e-12."""
+    for d in (1e-6, 2e-6, 3e-6, 3.4e-6):
+        c = core.INV_SQRT2 + d
+        for minimize in (oracle.grid_min, oracle.qubit_min):
+            assert minimize(c).oracle_min >= solve.b_vs(c).nats - 1e-14, (minimize.__name__, d)
+
+
 # H1 and F overlaps at least 1e-4 from c*: within about 1e-6 of c* the
 # minimum is quartic-flat, and the minimizers drift apart by up to 5e-5
 _WITNESS_OVERLAPS = [

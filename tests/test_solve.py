@@ -152,6 +152,34 @@ class TestH1Bound:
         cs = solve.c_star().root
         assert solve.h1_bound(cs) == pytest.approx(core.f_bound(cs), abs=1e-12)
 
+    def test_series_below_c_star(self):
+        """On the saturated line, f(u) = H(cos^2(theta/2 + u)) + H(cos^2(theta/2 - u))
+        = F(c) + a2(c) u^2 + a4(c) u^4 + ..., with a2(c_star) = 0, so
+        F - h1 = A d^2 (1 + O(d)) with d = c_star - c and A = a2'(c_star)^2 / (4 a4(c_star)),
+        derived here by mpmath at 40 digits.  The O(d) term reads -4.7 d; from
+        d = 1e-6 on, rounding of about 5e-16 in F - h1 dominates."""
+        from mpmath import mp, mpf
+
+        with mp.workdps(40):
+            # findroot's secant steps may leave (-1, 1), so it returns an mpc
+            cs = mp.re(mp.findroot(lambda c: c * mp.log((1 + c) / (1 - c)) - 2, mpf(CSTAR)))
+
+            def f(c, u):
+                half = mp.acos(c) / 2
+                ps = (mp.cos(half + u) ** 2, mp.cos(half - u) ** 2)
+                return sum(-p * mp.log(p) - (1 - p) * mp.log(1 - p) for p in ps)
+
+            a2_slope = mp.re(mp.diff(f, (cs, 0), (1, 2))) / 2
+            a4 = mp.re(mp.diff(lambda u: f(cs, u), 0, 4)) / 24
+            big_a = a2_slope**2 / (4 * a4)
+            assert abs(big_a - mpf("14.1478391134")) < 1e-9
+            for k in range(3, 9):
+                c = float(cs * (1 - mpf(10) ** -k))
+                d = cs - c
+                gap = core.f_bound(c) - solve.h1_bound(c)
+                assert gap > 0.0, k
+                assert abs(gap - big_a * d**2) <= 6 * d * big_a * d**2 + 1e-15, k
+
     def test_between_mu_and_g(self):
         for c in (0.72, 0.75, 0.8, 0.82, 0.83):
             h1 = solve.h1_bound(c)
