@@ -22,6 +22,7 @@ Four checks, each attacking the closed-form results from a different side:
                          character of the constrained objective; N, K and
                          E_1 are sampled in one pass, from one evaluation of
                          their shared terms per sample.
+delta_m_inf_limit is not a check but an informational measurement.
 
 grid_min and qubit_min share one saturated-line minimizer (_line_min), a
 scan refined by golden section (_scan_golden); they differ only in h,
@@ -52,7 +53,7 @@ from .core import (
     n_function,
 )
 from .errors import DomainError
-from .solve import BoundReport, RegionTag, _region_edges, b_vs, classify_region
+from .solve import BoundReport, _region_edges, b_vs
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,7 +72,7 @@ __all__ = [
 class OracleReport(NamedTuple):
     c: float
     oracle_min: float
-    analytic_ref: float
+    analytic_ref: float  # b_vs(c).nats, in every region
     gap: float  # oracle_min - analytic_ref, signed
     argmin: tuple[float, float]  # the (P_A, P_B) pair at oracle_min
     resolution: str
@@ -88,7 +89,6 @@ class RandomStateSummary(NamedTuple):
 
 class ShapeSummary(NamedTuple):
     c: float
-    region: str
     n_steps_not_falling: int  # (a) steps of N that do not fall
     n_sign_changes: int  # (a) sign changes of N
     n_zero_offset: float  # (a) first negative N sample to (1+c)/2, in sample steps
@@ -155,13 +155,14 @@ def _scan_golden(
 
 
 def _line_min(
-    c: float, ref: float, h: Callable[[float], float], step: float, n: int, tol: float, scan: str
+    c: float, h: Callable[[float], float], step: float, n: int, tol: float, scan: str
 ) -> OracleReport:
     """Least value of h(cos^2 x) + h(cos^2(theta - x)), theta = arccos(c), on
     the saturated line alpha_A + alpha_B = theta: scanned at x = k step,
     k in range(n), and refined by golden section to width tol (_scan_golden).
-    Reported against ref, with argmin (cos^2 x, cos^2(theta - x)) at the
-    minimum and the scanned range, scan, in its resolution."""
+    Reported against b_vs(c).nats, with argmin (cos^2 x, cos^2(theta - x))
+    at the minimum and the scanned range, scan, in its resolution."""
+    ref = b_vs(c).nats
     theta = math.acos(c)
 
     def f(x: float) -> float:
@@ -187,7 +188,7 @@ def grid_min(c: float, points_per_axis: int = 2001) -> OracleReport:
     line alpha_A + alpha_B = theta.  _line_min scans it at points_per_axis
     points of alpha in [0, theta] and refines the best by golden section to
     1e-12 in alpha.  qubit_min shares that minimizer and differs only in h,
-    range, points and tolerance.
+    range, points and tolerance; points_per_axis is an integer of at least 100.
 
     The refinement may step up to one scan step outside [0, theta]; it needs
     no clipping, because every real alpha gives a feasible pair.  cos^2 is
@@ -198,9 +199,9 @@ def grid_min(c: float, points_per_axis: int = 2001) -> OracleReport:
     visits can undercut the true minimum.
 
     Independent of the path it checks: h_min re-derives the multiplicity
-    rule, and the constraint stays in angle form (no P_B(P_A) curve).
-    argmin is the pair (P_A, P_B) at the minimum; points_per_axis, the
-    number of scan points, is an integer of at least 100.
+    rule, and the constraint stays in angle form (no P_B(P_A) curve).  The
+    gap is against b_vs(c).nats, also below 1/sqrt(2), where the minimum is
+    m_inf(c).  argmin is the pair (P_A, P_B) at the minimum.
     """
     _check_unit(c, "overlap")
     if not isinstance(points_per_axis, numbers.Integral) or points_per_axis < 100:
@@ -208,9 +209,7 @@ def grid_min(c: float, points_per_axis: int = 2001) -> OracleReport:
             f"points_per_axis must be an integer of at least 100, got {points_per_axis!r}"
         )
     n = points_per_axis
-    bound = b_vs(c)
-    ref = m_inf(c) if bound.region.tag is RegionTag.MU else bound.nats
-    return _line_min(c, ref, _h_min, math.acos(c) / (n - 1), n, 1e-12, "alpha_A + alpha_B = theta")
+    return _line_min(c, _h_min, math.acos(c) / (n - 1), n, 1e-12, "alpha_A + alpha_B = theta")
 
 
 def qubit_min(c: float) -> OracleReport:
@@ -228,7 +227,7 @@ def qubit_min(c: float) -> OracleReport:
     """
     if not (INV_SQRT2 - 1e-12 <= c <= 1.0):
         raise DomainError(f"qubit_min requires 1/sqrt(2) <= c <= 1, got {c!r}")
-    return _line_min(c, b_vs(c).nats, binary_entropy, 0.5 * math.pi / 500, 500, 1e-10, "[0, pi/2)")
+    return _line_min(c, binary_entropy, 0.5 * math.pi / 500, 500, 1e-10, "[0, pi/2)")
 
 
 # random_state_check works on chunks of samples: past about 128 a larger chunk
@@ -365,7 +364,7 @@ def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
     By the paper, N falls with one zero at (1+c)/2, K rises and then falls,
     the gap is 0, E_1 changes sign three times from 1/sqrt(2) to c_star and
     once elsewhere, and the objective has a maximum at (1+c)/2 below c_star
-    and a minimum above.
+    and a minimum above; the caller places c in its region.
 
     The samples lo + i w / grid, i = 1..grid-1, increase, so once the first
     and the last pass n_function, every sample lies strictly inside the
@@ -376,7 +375,6 @@ def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
     """
     if not isinstance(grid, numbers.Integral) or grid < 1000:
         raise DomainError(f"grid must be an integer of at least 1000, got {grid!r}")
-    region = classify_region(c)
     iv = admissible_interval(c)
     lo, w = iv.lo, iv.width
     mid = 0.5 * (1.0 + c)
@@ -398,7 +396,6 @@ def shape_check(c: float, grid: int = 10_000) -> ShapeSummary:
     v0 = m1_objective(mid, c)
     return ShapeSummary(
         c=c,
-        region=str(region.tag),
         n_steps_not_falling=sum(1 for a, b in zip(n_vals, n_vals[1:]) if not b - a < 0.0),
         n_sign_changes=_sign_changes(n_vals),
         n_zero_offset=abs(n_zero_at - mid) / step,

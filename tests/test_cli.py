@@ -685,9 +685,12 @@ class TestVerify:
         assert code == 0
         assert out.startswith(f"PASS shape c={float(c):g} ")
 
-    # a summary that meets every bound of the shape suite, (a)'s offset and
-    # (c)'s gap at their bounds; each case below moves fields past a bound
-    SHAPE_PASS = oracle.ShapeSummary(0.3, "MuRegion", 0, 1, 2.0, 0, 0, 1e-8, 1, -1e-9, -1e-9)
+    # overlaps in the H1 and F regions; c = 0.1 + 0.2 lies in the MU region
+    AT_H1, AT_F = 0.8, 0.9
+    # a summary that meets every bound of the shape suite at an MU overlap,
+    # (a)'s offset and (c)'s gap at their bounds; each case below moves
+    # fields past a bound, and c to the region it judges
+    SHAPE_PASS = oracle.ShapeSummary(0.1 + 0.2, 0, 1, 2.0, 0, 0, 1e-8, 1, -1e-9, -1e-9)
     SHAPE_BREAKS = {
         "a-steps": ({"n_steps_not_falling": 1}, ["(a)"]),
         "a-no-zero": ({"n_sign_changes": 0}, ["(a)"]),
@@ -698,16 +701,16 @@ class TestVerify:
         "c-gap": ({"k_endpoint_gap": math.nextafter(1e-8, 1.0)}, ["(c)"]),
         "d-mu-0": ({"e1_sign_changes": 0}, ["(d)"]),
         "d-mu-2": ({"e1_sign_changes": 2}, ["(d)"]),
-        "d-h1-2": ({"region": "H1Region", "e1_sign_changes": 2}, ["(d)"]),
-        "d-h1-4": ({"region": "H1Region", "e1_sign_changes": 4}, ["(d)"]),
+        "d-h1-2": ({"c": AT_H1, "e1_sign_changes": 2}, ["(d)"]),
+        "d-h1-4": ({"c": AT_H1, "e1_sign_changes": 4}, ["(d)"]),
         "d-f-3": (
-            {"region": "FRegion", "e1_sign_changes": 3, "m1_step_below": 1e-9, "m1_step_above": 1e-9},
+            {"c": AT_F, "e1_sign_changes": 3, "m1_step_below": 1e-9, "m1_step_above": 1e-9},
             ["(d)"],
         ),
         "e-below-zero": ({"m1_step_below": 0.0}, ["(e)"]),
         "e-above-zero": ({"m1_step_above": 0.0}, ["(e)"]),
-        "e-f-maximum": ({"region": "FRegion"}, ["(e)"]),
-        "e-f-zero": ({"region": "FRegion", "m1_step_below": 1e-9, "m1_step_above": 0.0}, ["(e)"]),
+        "e-f-maximum": ({"c": AT_F}, ["(e)"]),
+        "e-f-zero": ({"c": AT_F, "m1_step_below": 1e-9, "m1_step_above": 0.0}, ["(e)"]),
         "all": (
             {
                 "n_steps_not_falling": 3,
@@ -721,15 +724,16 @@ class TestVerify:
     }
 
     def run_faked_shape(self, capsys, monkeypatch, summary):
+        """verify --suite shape at summary.c, where shape_check returns summary."""
         monkeypatch.setattr(oracle, "shape_check", lambda c, grid: summary._replace(c=c))
-        return run_cli(capsys, "verify", "--suite", "shape", "--c-list", repr(0.1 + 0.2))
+        return run_cli(capsys, "verify", "--suite", "shape", "--c-list", repr(summary.c))
 
     @pytest.mark.parametrize(
         "changes,extremum",
         [
             ({}, "maximum"),
-            ({"region": "H1Region", "e1_sign_changes": 3}, "maximum"),
-            ({"region": "FRegion", "m1_step_below": 1e-300, "m1_step_above": 5e-324}, "minimum"),
+            ({"c": AT_H1, "e1_sign_changes": 3}, "maximum"),
+            ({"c": AT_F, "m1_step_below": 1e-300, "m1_step_above": 5e-324}, "minimum"),
         ],
     )
     def test_shape_judge_passes_at_the_bounds(self, capsys, monkeypatch, changes, extremum):
@@ -738,7 +742,8 @@ class TestVerify:
         assert code == 0
         lines = out.splitlines()
         count = summary.e1_sign_changes
-        assert lines[0] == f"PASS shape c=0.3 sign-changes={count} extremum={extremum} endpoint-gap=1.00e-08"
+        text = f"sign-changes={count} extremum={extremum} endpoint-gap=1.00e-08"
+        assert lines[0] == f"PASS shape c={summary.c:g} {text}"
         assert lines[1].startswith("INFO shape measured limit of b_mu - m_inf")
         assert lines[2:] == ["RESULT: 1 passed, 0 failed"]
 
@@ -747,11 +752,12 @@ class TestVerify:
         # one clause broken one step past its bound, or every clause: the FAIL
         # line names each failed clause in order and ends in the full overlap
         changes, clauses = self.SHAPE_BREAKS[case]
-        code, out, _ = self.run_faked_shape(capsys, monkeypatch, self.SHAPE_PASS._replace(**changes))
+        summary = self.SHAPE_PASS._replace(**changes)
+        code, out, _ = self.run_faked_shape(capsys, monkeypatch, summary)
         assert code == 4
         lines = out.splitlines()
-        assert lines[0].startswith("FAIL shape c=0.3 clause ")
-        assert lines[0].endswith(" at c = 0.30000000000000004")
+        assert lines[0].startswith(f"FAIL shape c={summary.c:g} clause ")
+        assert lines[0].endswith(f" at c = {summary.c!r}")
         assert re.findall(r"clause (\(\w\))", lines[0]) == clauses
         assert lines[0].count("; ") == len(clauses) - 1
         assert lines[1].startswith("INFO shape measured limit of b_mu - m_inf")
@@ -973,7 +979,7 @@ class TestGridSetting:
 
         def shape_check(c, grid):
             grids.append(("shape_check", grid))
-            return oracle.ShapeSummary(c, "FRegion", 0, 1, 0.0, 0, 0, 0.0, 1, 1e-9, 1e-9)
+            return oracle.ShapeSummary(c, 0, 1, 0.0, 0, 0, 0.0, 1, 1e-9, 1e-9)
 
         monkeypatch.setattr(oracle, "grid_min", grid_min)
         monkeypatch.setattr(oracle, "shape_check", shape_check)

@@ -269,6 +269,23 @@ def test_every_public_oracle_runs_in_a_suite():
     assert sorted(set(functions) - referenced) == []
 
 
+def test_the_oracle_layer_is_region_free():
+    """src/eur/oracle.py, read with ast, names neither RegionTag nor
+    classify_region and reads no .region or .tag attribute: the oracles
+    measure against b_vs in every region, and what each region must show is
+    the verify suites' to judge."""
+    tree = ast.parse((ROOT / "src" / "eur" / "oracle.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            names.update((node.attr, "." + node.attr))
+    assert sorted(names & {"RegionTag", "classify_region", ".region", ".tag"}) == []
+
+
 # each record's fields, in the order that positional construction and unpacking rely on
 _RECORD_FIELDS = {
     eur.AdmissibleInterval: ("lo", "hi"),
@@ -281,7 +298,6 @@ _RECORD_FIELDS = {
     oracle.RandomStateSummary: ("dim", "samples", "seed", "min_margin", "argmin_index", "argmin_overlap"),
     oracle.ShapeSummary: (
         "c",
-        "region",
         "n_steps_not_falling",
         "n_sign_changes",
         "n_zero_offset",
