@@ -343,7 +343,7 @@ def test_line_oracles_resolve_b_vs(minimize):
     assert max(abs(minimize(c).gap) for c in overlaps) <= 1e-13
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 18")
+@pytest.mark.xfail(reason="ROADMAP item 18")
 def test_line_oracles_do_not_undercut_b_vs_in_the_window():
     """Inside the window b_vs answers with the end pair (c^2, 1), above the
     true minimum, and both oracles undercut it by 2.6e-13 to 3.2e-12."""
@@ -357,26 +357,37 @@ _WINDOW_LAST = 0.7071102451999189  # the last float of the window
 
 
 def _window_defect(c, what):
-    return pytest.param(c, marks=pytest.mark.xfail(strict=True, reason=f"ROADMAP item 18: {what}"))
+    return pytest.param(c, marks=pytest.mark.xfail(reason=f"ROADMAP item 18: {what}"))
 
 
 @pytest.mark.parametrize(
     "c",
-    [core.INV_SQRT2 + d for d in (1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 5e-6, 1e-5, 1e-4, 1e-2)]
+    [core.INV_SQRT2 + d for d in (1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 5e-6, 1e-5, 1e-4, 1e-2)]
     + [0.75, math.nextafter(_WINDOW_LAST, 0.0), math.nextafter(_WINDOW_LAST, 1.0)]
-    + [_window_defect(core.INV_SQRT2 + 1e-7, "g == h1")]
     + [_window_defect(core.INV_SQRT2 + d, "b_vs above the minimum") for d in (1e-6, 2e-6, 3e-6)]
     + [_window_defect(_WINDOW_LAST, "b_vs above the minimum")],
 )
 def test_b_vs_meets_the_mpmath_minimum_across_the_window(c):
     """b_vs(c) lies at most 1e-14 above the 40-digit minimum of the
-    saturated line, and from 1/sqrt(2) + 1e-7 on g_bound(c) > h1_bound(c),
-    independently of the oracles.  The bound is 1e-14, not item 18's 1e-15:
-    outside the window the float complement (ROADMAP item 2) already puts
-    b_vs 2.55e-15 above the minimum at 1/sqrt(2) + 1e-4 and 1.33e-15 at 0.75."""
+    saturated line, independently of the oracles.  The bound is 1e-14, not
+    item 18's 1e-15: outside the window the float complement (ROADMAP
+    item 2) already puts b_vs 2.55e-15 above the minimum at
+    1/sqrt(2) + 1e-4 and 1.33e-15 at 0.75."""
     assert solve.b_vs(c).nats <= mp_line_min(c, dps=40) + 1e-14
-    if c >= core.INV_SQRT2 + 1e-7:
-        assert core.g_bound(c) > solve.h1_bound(c)
+
+
+@pytest.mark.parametrize(
+    "c",
+    [core.INV_SQRT2 + d for d in (5e-6, 1e-5, 1e-4, 1e-2)]
+    + [0.75, math.nextafter(_WINDOW_LAST, 0.0), math.nextafter(_WINDOW_LAST, 1.0)]
+    + [_window_defect(core.INV_SQRT2 + d, "g == h1") for d in (1e-7, 1e-6, 2e-6, 3e-6)]
+    + [_window_defect(_WINDOW_LAST, "g == h1")],
+)
+def test_g_bound_exceeds_h1_across_the_window(c):
+    """From 1/sqrt(2) + 1e-7 on, g_bound(c) > h1_bound(c), the paper's
+    boundary dominance.  Inside the window h1_bound answers with the end
+    pair (c^2, 1), whose value is g_bound's."""
+    assert core.g_bound(c) > solve.h1_bound(c)
 
 
 # H1 and F overlaps at least 1e-4 from c*: within about 1e-6 of c* the
