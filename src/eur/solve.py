@@ -340,9 +340,9 @@ def eqsin_residual(alpha: float, theta: float) -> float:
 
 
 def _eqsin_value(alpha: float, theta: float) -> float:
-    # eqsin_residual without its checks, for finite angles outside the
-    # exclusion radius of the identical-zero points (the eqsin_roots
-    # refinement and the critique residuals)
+    # eqsin_residual without its checks, for finite angles (the eqsin_roots
+    # refinement, whose bracket may reach into an exclusion neighborhood,
+    # and the critique residuals)
     value = _eqsin_alpha_term(alpha) + _eqsin_theta_term(alpha, theta)
     if value != value:
         raise SingularValueError(f"nonpositive log argument at alpha = {alpha!r}")
@@ -383,26 +383,25 @@ _SCAN_LO, _SCAN_HI = -0.25 * math.pi, 0.5 * math.pi  # the eqsin_roots window
 def _alpha_terms() -> array:
     """_eqsin_alpha_term at the eqsin_roots scan angles
     _SCAN_LO + k _SCAN_STEP, k = 1, 2, ..., below _SCAN_HI, in order; nan
-    where a log argument is nonpositive.  The scan grid does not depend on
-    theta, so the table is built once per process, at the first scan; array
-    is imported here, since it is a shared library that only the scan uses."""
+    where a log argument is nonpositive.  Those are the k below
+    (_SCAN_HI - _SCAN_LO) / _SCAN_STEP, so the table has
+    ceil((_SCAN_HI - _SCAN_LO) / _SCAN_STEP) - 1 = 23561 entries.  The scan
+    grid does not depend on theta, so the table is built once per process,
+    at the first scan; array is imported here, since it is a shared library
+    that only the scan uses."""
     from array import array
 
-    table = array("d")
-    for k in range(1, int((_SCAN_HI - _SCAN_LO) / _SCAN_STEP) + 1):
-        x = _SCAN_LO + k * _SCAN_STEP
-        if x >= _SCAN_HI:
-            break
-        table.append(_eqsin_alpha_term(x))
-    return table
+    n = math.ceil((_SCAN_HI - _SCAN_LO) / _SCAN_STEP)
+    return array("d", (_eqsin_alpha_term(_SCAN_LO + k * _SCAN_STEP) for k in range(1, n)))
 
 
 def eqsin_roots(theta: float) -> list[float]:
     """All distinct zeros of eqsin_residual over alpha in (-pi/4, pi/2).
 
     Scans at the fixed step _SCAN_STEP = 1e-4, refines each sign change with
-    find_root, skips the identical-zero points and their 1e-6
-    neighborhoods, and merges refined roots closer than one step.
+    find_root, and then, in one pass over the roots in order, drops every
+    root within 1e-6 of an identical-zero point and every root closer than
+    one step to the last one kept.
 
     The residual has period pi/2 in alpha: alpha -> alpha + pi/2 maps
     (P_A, P_B) to (1 - P_A, 1 - P_B) and leaves both of its terms unchanged.
@@ -414,39 +413,19 @@ def eqsin_roots(theta: float) -> list[float]:
     alpha - theta.  The scan reads the first from a table over its fixed
     grid (_alpha_terms, built once per process) and computes only the
     second, so each sample is the same float as _eqsin_value.  Scan and
-    refinement run on the unchecked terms: every scan angle is finite and
-    outside both neighborhoods, and a bracket can straddle an identical-zero
-    point, but a refinement that converges onto one returns a root inside
-    its neighborhood, which is dropped.
+    refinement run on the unchecked terms: every scan angle is finite, and
+    one inside an identical-zero point's neighborhood has a finite residual
+    too.  A sample that is nan or exactly 0 brackets no crossing.  A root
+    that lands in a neighborhood, from a bracket straddling its point or an
+    exact zero there, is dropped by the one filter.
     """
     if not (0.0 < theta < 0.5 * math.pi):
         raise DomainError(f"theta must lie in (0, pi/2), got {theta!r}")
-    e1, e2 = _excluded_points(theta)
-    # an exclusion neighborhood is far narrower than a step, so the only scan
-    # angle that can lie in it is the one nearest its point
-    skipped = set()
-    for e in (e1, e2):
-        k = round((e - _SCAN_LO) / _SCAN_STEP)
-        if abs(_SCAN_LO + k * _SCAN_STEP - e) <= _EXCLUSION_RADIUS:
-            skipped.add(k)
-
     roots: list[float] = []
-    # the previous sample, if it can bracket a crossing; prev_v is never 0
-    # or nan otherwise, so prev_v = 0.0 marks that there is none
-    prev_x = prev_v = 0.0
+    prev_x = prev_v = 0.0  # prev_v = 0.0 brackets nothing
     for k, term_a in enumerate(_alpha_terms(), 1):
-        if k in skipped:
-            prev_v = 0.0
-            continue
         x = _SCAN_LO + k * _SCAN_STEP
         v = term_a + _eqsin_theta_term(x, theta)
-        if v != v:  # singular
-            prev_v = 0.0
-            continue
-        if v == 0.0:
-            roots.append(x)
-            prev_v = 0.0
-            continue
         if prev_v < 0.0 < v or v < 0.0 < prev_v:
             try:
                 rr = find_root(lambda a: _eqsin_value(a, theta), prev_x, x, abs_tol=1e-12)
@@ -456,16 +435,18 @@ def eqsin_roots(theta: float) -> list[float]:
                 pass
             else:
                 roots.append(rr.root)
+        elif v == 0.0:
+            roots.append(x)
         prev_x, prev_v = x, v
 
-    roots = [
-        r for r in roots if abs(r - e1) > _EXCLUSION_RADIUS and abs(r - e2) > _EXCLUSION_RADIUS
-    ]
-    deduped: list[float] = []
+    e1, e2 = _excluded_points(theta)
+    kept: list[float] = []
     for r in roots:
-        if not deduped or r - deduped[-1] >= _SCAN_STEP:
-            deduped.append(r)
-    return deduped
+        if abs(r - e1) <= _EXCLUSION_RADIUS or abs(r - e2) <= _EXCLUSION_RADIUS:
+            continue
+        if not kept or r - kept[-1] >= _SCAN_STEP:
+            kept.append(r)
+    return kept
 
 
 _CHECK_ORDER = ("multiplicity_range", "admissible_interval", "overlap_identity")

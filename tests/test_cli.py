@@ -763,6 +763,23 @@ class TestVerify:
         assert lines[1].startswith("INFO shape measured limit of b_mu - m_inf")
         assert lines[2:] == ["RESULT: 0 passed, 1 failed"]
 
+    @pytest.mark.parametrize("diff,text", [(0.0, "0.000e+00"), (-2.5e-17, "-2.500e-17")])
+    def test_shape_margin_not_positive_fails(self, capsys, monkeypatch, diff, text):
+        # a measured b_mu - m_inf that is not positive, here only at the last
+        # overlap, fails the suite; the INFO line still reports the limit
+        limit = [(0.7061067811865475, 1.5e-3), (0.7071067711865476, diff)]
+        monkeypatch.setattr(oracle, "delta_m_inf_limit", lambda: limit)
+        code, out, _ = self.run_faked_shape(capsys, monkeypatch, self.SHAPE_PASS)
+        assert code == 4
+        lines = out.splitlines()
+        assert lines[0].startswith("PASS shape c=0.3 ")
+        assert lines[1] == (
+            f"FAIL shape margin b_mu - m_inf = {text} at c=0.7071067711865476 not positive"
+        )
+        info = f"INFO shape measured limit of b_mu - m_inf toward 1/sqrt(2) is {text} "
+        assert lines[2].startswith(info)
+        assert lines[3:] == ["RESULT: 1 passed, 1 failed"]
+
     def test_shape_fail_lines_name_every_failed_clause(self, capsys):
         # the real oracle: two ulps below c_star E_1 shows one sign change and
         # the objective no maximum; at 1e-12 the sample step is below ulp(0.5)

@@ -685,7 +685,10 @@ class TestEqsinRoots:
     # near 0 and pi/2, overlaps on both sides of 1/sqrt(2), at the tiny
     # overlaps whose root near -c/2 is lost and across (0, 1/sqrt(2)), every
     # pi/32 and every pi/128 in between, two angles that put a scan point on
-    # theta/2 and on theta/2 + pi/4, and the birth region of the extra roots
+    # theta/2 and on theta/2 + pi/4, the birth region of the extra roots, and
+    # angles that put a scan point 3e-7 or 9e-7 from theta/2 or
+    # theta/2 + pi/4, with theta below pi/4 and above it: the reference skips
+    # that scan point, the scan evaluates it and filters the roots
     @pytest.mark.parametrize(
         "theta",
         [1e-9, 1e-6, 1e-3, 0.5 * math.pi - 1e-3, 0.5 * math.pi - 1e-6]
@@ -699,7 +702,13 @@ class TestEqsinRoots:
         + [k * math.pi / 32 for k in range(1, 16)]
         + [k * math.pi / 128 for k in range(1, 64) if k % 4]
         + [2.0 * (-0.25 * math.pi + 10_000 * 1e-4), 2.0 * (-0.5 * math.pi + 20_000 * 1e-4)]
-        + [math.acos(c) for c in _BIRTH_OVERLAPS],
+        + [math.acos(c) for c in _BIRTH_OVERLAPS]
+        + [
+            2.0 * (-0.25 * math.pi + k * 1e-4 + eps - off)
+            for off, ks in ((0.0, (9_854, 13_854)), (0.25 * math.pi, (17_708, 21_708)))
+            for k in ks
+            for eps in (3e-7, -3e-7, 9e-7, -9e-7)
+        ],
     )
     def test_equals_checked_scan(self, theta):
         assert solve.eqsin_roots(theta) == reference_eqsin_roots(theta)
@@ -838,6 +847,31 @@ class TestCritiqueReport:
         rep = solve.critique_report(0.5)
         iv = core.admissible_interval(0.5)
         assert rep.interval == (iv.lo, iv.hi)
+
+    def test_later_checks_cannot_fire(self):
+        """The critique's second and third checks never fail (ROADMAP item 6,
+        D5): both probabilities lie in (1/2, 1] only for alpha in
+        (theta - pi/4, pi/4), which lies inside (0, theta) below 1/sqrt(2).
+        There P_A is in the admissible interval, and the overlap identity
+        reads cos(alpha) cos(theta - alpha) - sin(alpha) sin(theta - alpha)
+        = cos(theta) = c."""
+        width = 0.75 * math.pi
+        angles = [-0.25 * math.pi + width * j / 2001 for j in range(1, 2001)]
+        pairs = 0
+        for i in range(1, 211):
+            c = core.INV_SQRT2 * i / 211
+            theta = math.acos(c)
+            iv = core.admissible_interval(c)
+            for alpha in angles:
+                p_a = math.cos(alpha) ** 2
+                p_b = math.cos(theta - alpha) ** 2
+                if not (0.5 < p_a <= 1.0 and 0.5 < p_b <= 1.0):
+                    continue
+                pairs += 1
+                assert theta - 0.25 * math.pi - 1e-12 < alpha < 0.25 * math.pi + 1e-12
+                assert iv.contains(p_a, tol=1e-12), (c, alpha)
+                assert abs(core.eqc_overlap(p_a, p_b) - c) <= 1e-9, (c, alpha)
+        assert pairs >= 60_000
 
     @pytest.mark.parametrize("c", [0.75, core.INV_SQRT2, 1.0, 0.0])
     def test_domain(self, c):
